@@ -115,15 +115,18 @@ def soft_membership(conf, spec: SoftBinningSpec) -> np.ndarray:
     """Soft bin memberships softmax(-(c - centers)^2 / T).
 
     Accepts a scalar (returns shape (M,)) or a 1-d array (returns (N, M)).
-    Rows sum to 1 and every entry is strictly positive.
+    Rows sum to 1 and every entry is strictly positive.  The (N, M) result is
+    a transposed view of a C-contiguous (M, N) array: `.T` gives bins-major.
     """
     scalar = np.isscalar(conf) or np.ndim(conf) == 0
     c = np.atleast_1d(np.asarray(conf, dtype=np.float64))
-    g = -((c[:, None] - spec.centers[None, :]) ** 2) / spec.temperature
-    g -= g.max(axis=1, keepdims=True)
-    e = np.exp(g)
-    u = e / e.sum(axis=1, keepdims=True)
-    return u[0] if scalar else u
+    g = np.subtract.outer(spec.centers, c)
+    g **= 2
+    g /= -spec.temperature
+    g -= g.max(axis=0)
+    np.exp(g, out=g)
+    g /= g.sum(axis=0)
+    return g[:, 0] if scalar else g.T
 
 
 def soft_membership_grad(conf, spec: SoftBinningSpec) -> np.ndarray:

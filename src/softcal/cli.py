@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .io import (
     read_logits_csv,
     write_logits_csv,
 )
-from .metrics import ece, eval_convention_ece, reliability_table, sb_ece
+from .metrics import check_p, ece, eval_convention_ece, reliability_table, sb_ece
 from .recalibrate import fit_temperature
 from .synthetic import make_synthetic_task
 from .trainer import SWEEP_ORDER, train, sweep_one_at_a_time
@@ -69,22 +70,18 @@ def _make_task(config: RunConfig):
     )
 
 
-def _metrics_block(eval_set: EvalSet, args) -> dict:
+@contextmanager
+def _flag_errors():
+    """Turn a ValueError from checking flags, before any file is read, into a usage error."""
+    try:
+        yield
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+
+
+def _metrics_block(eval_set: EvalSet, spec: BinningSpec | SoftBinningSpec, args) -> dict:
     summary = summarize(eval_set)
-    if args.soft:
-        report = sb_ece(
-            summary,
-            SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp),
-            p=args.p,
-            mode=args.mode,
-        )
-    else:
-        report = ece(
-            summary,
-            BinningSpec(scheme=args.scheme, num_bins=args.bins),
-            p=args.p,
-            mode=args.mode,
-        )
+    report = (sb_ece if args.soft else ece)(summary, spec, p=args.p, mode=args.mode)
     return {
         "n": eval_set.n,
         "bins": report.num_bins,
@@ -100,17 +97,22 @@ def _metrics_block(eval_set: EvalSet, args) -> dict:
 
 
 def cmd_metrics(args) -> int:
-    doc = _metrics_block(read_logits_csv(args.logits), args)
+    with _flag_errors():
+        check_p(args.p)
+        hard = BinningSpec(scheme=args.scheme, num_bins=args.bins)
+        soft = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
+    spec = soft if args.soft else hard
+    doc = _metrics_block(read_logits_csv(args.logits), spec, args)
     if args.val_logits:
-        doc["val"] = _metrics_block(read_logits_csv(args.val_logits), args)
+        doc["val"] = _metrics_block(read_logits_csv(args.val_logits), spec, args)
     _emit_json(doc)
     return 0
 
 
 def cmd_reliability(args) -> int:
-    eval_set = read_logits_csv(args.logits)
-    summary = summarize(eval_set)
-    rows, _ = reliability_table(summary, BinningSpec(scheme=args.scheme, num_bins=args.bins))
+    with _flag_errors():
+        spec = BinningSpec(scheme=args.scheme, num_bins=args.bins)
+    rows, _ = reliability_table(summarize(read_logits_csv(args.logits)), spec)
     print("bin,mean_conf,mean_acc,weight")
     for j, mean_conf, mean_acc, weight in rows:
         conf_s = "" if mean_conf is None else repr(mean_conf)
@@ -120,10 +122,14 @@ def cmd_reliability(args) -> int:
 
 
 def cmd_recalibrate(args) -> int:
+    with _flag_errors():
+        check_p(args.p)
+        sb_spec = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
     val_set = read_logits_csv(args.val_logits)
     test_set = read_logits_csv(args.test_logits)
-    sb_spec = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
     fit = fit_temperature(val_set, objective=args.objective, sb_spec=sb_spec, p=args.p, mode=args.mode)
+    print(f"recalibrate: objective={fit.objective} t_star={fit.t_star!r} "
+          f"evaluations={len(fit.trace)} at_bound={fit.at_bound}", file=sys.stderr)
     if args.trace:
         with open(args.trace, "w") as handle:
             handle.write("temperature,objective\n")

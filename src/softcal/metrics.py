@@ -58,7 +58,8 @@ class EceReport:
     bin_stats: BinStats
 
 
-def _check_p(p: float) -> float:
+def check_p(p: float) -> float:
+    """The l_p exponent as a float; raises ValueError unless finite and >= 1."""
     p = float(p)
     if not np.isfinite(p) or p < 1.0:
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -87,12 +88,7 @@ def bin_stats_hard(summary: PredictionSummary, spec: BinningSpec) -> tuple[BinSt
 
 def bin_stats_soft(summary: PredictionSummary, spec: SoftBinningSpec) -> BinStats:
     """Soft-mass analogue: S_j = sum_i u_ij, means weighted by membership."""
-    u = soft_membership(summary.confidence, spec)
-    s = u.sum(axis=0)
-    sf = np.maximum(s, _MASS_FLOOR)
-    mean_conf = (u * summary.confidence[:, None]).sum(axis=0) / sf
-    mean_acc = (u * summary.accuracy[:, None]).sum(axis=0) / sf
-    return BinStats(size=s, mean_conf=mean_conf, mean_acc=mean_acc)
+    return sb_ece_arrays(summary.confidence, summary.accuracy, spec, mode=BINNED).bin_stats
 
 
 def ece(
@@ -102,7 +98,7 @@ def ece(
     mode: str = BINNED,
 ) -> EceReport:
     """Hard-binned expected calibration error with an l_p reduction."""
-    p = _check_p(p)
+    p = check_p(p)
     mode = _check_mode(mode)
     stats, assignment = bin_stats_hard(summary, spec)
     n = summary.n
@@ -131,17 +127,36 @@ def sb_ece(
     mode: str = LABEL_BINNED,
 ) -> EceReport:
     """Soft-binned ECE: differentiable relaxation of the equal-width metric."""
-    p = _check_p(p)
+    return sb_ece_arrays(summary.confidence, summary.accuracy, spec, p=p, mode=mode)
+
+
+def sb_ece_arrays(
+    confidence: np.ndarray,
+    accuracy: np.ndarray,
+    spec: SoftBinningSpec,
+    p: float = 2.0,
+    mode: str = LABEL_BINNED,
+) -> EceReport:
+    """sb_ece on per-example confidence and 0/1 accuracy arrays."""
+    p = check_p(p)
     mode = _check_mode(mode)
-    stats = bin_stats_soft(summary, spec)
-    n = summary.n
+    u = soft_membership(confidence, spec).T  # (M, N)
+    s = u.sum(axis=1)
+    sf = np.maximum(s, _MASS_FLOOR)
+    # einsum rather than BLAS, whose threads spin-wait when the cores are busy.
+    mean_conf = np.einsum("mn,n->m", u, confidence) / sf
+    mean_acc = np.einsum("mn,n->m", u, accuracy) / sf
+    stats = BinStats(size=s, mean_conf=mean_conf, mean_acc=mean_acc)
+    n = confidence.shape[0]
     if mode == BINNED:
         gap = np.abs(stats.mean_acc - stats.mean_conf)
         r = ((stats.size / n) * gap**p).sum()
     else:
-        u = soft_membership(summary.confidence, spec)
-        gap = np.abs(stats.mean_acc[None, :] - summary.confidence[:, None])
-        r = (u * gap**p).sum() / n
+        d = np.subtract.outer(stats.mean_acc, confidence)
+        np.abs(d, out=d)
+        d **= p
+        d *= u
+        r = d.sum() / n
     return EceReport(
         value=float(r ** (1.0 / p)),
         p=p,
@@ -169,7 +184,7 @@ def sb_ece_confidence_grad(
     Accuracies are constants; memberships, bin masses and bin means are all
     functions of the confidences and are differentiated exactly.
     """
-    p = _check_p(p)
+    p = check_p(p)
     mode = _check_mode(mode)
     c = summary.confidence
     a = summary.accuracy

@@ -5,6 +5,16 @@ A single scalar t > 0 divides the logits.  Fitting minimizes either NLL
 [0.05, 10] followed by golden-section refinement of the bracketing interval.
 The returned t is the best point ever evaluated, so its objective value never
 exceeds any trace entry.
+
+Every evaluation works from the logit shifts z - max_k z, computed once per
+fit.  With s(t) = sum_k exp(shift_k / t), the top-class confidence is
+1 / s(t) and the label's log-probability is shift_y / t - log s(t).  Two
+conventions follow:
+
+- accuracy is the argmax of the raw logits (ties to the lowest index), which
+  no positive temperature changes;
+- NLL is the exact log-sum-exp, unfloored, so it differs from losses.nll only
+  where p_y < 1e-300, the floor nll applies.
 """
 
 from __future__ import annotations
@@ -16,8 +26,7 @@ import numpy as np
 
 from .binning import SoftBinningSpec
 from .data import EvalSet, PredictionSummary, summarize
-from .losses import nll
-from .metrics import LABEL_BINNED, eval_convention_ece, sb_ece
+from .metrics import LABEL_BINNED, eval_convention_ece, sb_ece_arrays
 
 OBJECTIVES = ("nll", "sb-ece")
 
@@ -42,6 +51,12 @@ class TemperatureFit:
     ece_before: float
     ece_after: float
     trace: list = field(default_factory=list)  # (t, objective value) in eval order
+
+    @property
+    def at_bound(self) -> bool:
+        """t* lies within REFINE_TOL of T_MIN or T_MAX, so the objective's
+        minimum may lie outside the searched range."""
+        return min(self.t_star - T_MIN, T_MAX - self.t_star) <= REFINE_TOL
 
 
 def apply_temperature(eval_set: EvalSet, temperature: float) -> PredictionSummary:
@@ -86,12 +101,28 @@ def _objective_fn(
     p: float,
     mode: str,
 ) -> Callable[[float], float]:
+    logits = val_set.logits
+    # Always a copy: the in-place subtraction must not reach the caller's logits.
+    shifts = np.array(logits.T, order="C")  # (K, N), entries <= 0
+    shifts -= logits.max(axis=1)
+    buf = np.empty_like(shifts)
+
+    def norm(t: float) -> np.ndarray:
+        """s(t) per example; the top class contributes exp(0) = 1."""
+        np.divide(shifts, t, out=buf)
+        np.exp(buf, out=buf)
+        return buf.sum(axis=0)
+
     if objective == "nll":
+        shift_y = shifts[val_set.labels, np.arange(val_set.n)]
+
         def fn(t: float) -> float:
-            return nll(summarize(val_set, t), val_set.labels)[0]
+            return float(np.mean(np.log(norm(t)) - shift_y / t))
     else:
+        accuracy = (np.argmax(logits, axis=1) == val_set.labels).astype(np.float64)
+
         def fn(t: float) -> float:
-            return sb_ece(summarize(val_set, t), sb_spec, p=p, mode=mode).value
+            return sb_ece_arrays(1.0 / norm(t), accuracy, sb_spec, p=p, mode=mode).value
     return fn
 
 
@@ -129,6 +160,7 @@ def fit_temperature(
     hi = grid[min(best + 1, len(grid) - 1)]
     t_ref, v_ref, refine_evals = golden_section_minimize(fn, lo, hi, REFINE_TOL)
     trace.extend((float(x), float(v)) for x, v in refine_evals)
+    del fn  # frees the shift buffers before the ECE summaries below
 
     t_star, v_star = (t_ref, v_ref) if v_ref <= values[best] else (float(grid[best]), float(values[best]))
     return TemperatureFit(

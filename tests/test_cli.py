@@ -125,6 +125,31 @@ def test_data_problems_exit_2(capsys, tmp_path):
     assert code == 2 and err.startswith("data error:")
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("metrics", "--bins", "0"),
+        ("metrics", "--p", "0.5"),
+        ("metrics", "--bin-temp", "-1"),
+        ("reliability", "--bins", "0"),
+        ("recalibrate", "--bins", "0"),
+        ("recalibrate", "--p", "0.5"),
+        ("recalibrate", "--bin-temp", "-1"),
+    ],
+)
+def test_bad_binning_flags_exit_64_before_any_file_is_read(capsys, tmp_path, command, flag, value):
+    # The logits paths do not exist: reading them first would exit 2.
+    missing = str(tmp_path / "missing.csv")
+    files = {
+        "metrics": ["--logits", missing],
+        "reliability": ["--logits", missing],
+        "recalibrate": ["--val-logits", missing, "--test-logits", missing],
+    }[command]
+    code, out, err = run_cli(capsys, command, *files, flag, value)
+    assert code == 64 and out == ""
+    assert err.startswith("usage error:")
+
+
 def test_usage_problems_exit_64(capsys, four_row_csv):
     code, _, err = run_cli(capsys, "unknown-command")
     assert code == 64 and err.startswith("usage error:")
@@ -163,7 +188,7 @@ def test_reliability_prints_all_bins(capsys, four_row_csv):
 
 
 def test_recalibrate_overconfident_logits(capsys, recal_files):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "recalibrate", "--val-logits", recal_files["val2"],
         "--test-logits", recal_files["test2"],
     )
@@ -173,6 +198,14 @@ def test_recalibrate_overconfident_logits(capsys, recal_files):
     assert doc["objective"] == "nll"
     assert 1.5 < doc["tStar"] < 2.5
     assert doc["eceAfter"] < doc["eceBefore"]
+
+    # One stderr line describes the fit; stdout keeps its key set.
+    assert err.count("\n") == 1 and err.startswith("recalibrate: ")
+    fields = dict(item.split("=") for item in err.split()[1:])
+    assert fields["objective"] == "nll"
+    assert float(fields["t_star"]) == doc["tStar"]
+    assert int(fields["evaluations"]) > 64
+    assert fields["at_bound"] == "False"
 
 
 def test_recalibrate_leaves_calibrated_logits_alone(capsys, recal_files):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from softcal import EvalSet, apply_temperature, eval_convention_ece, fit_temperature
+from softcal import (
+    EvalSet,
+    SoftBinningSpec,
+    apply_temperature,
+    eval_convention_ece,
+    fit_temperature,
+    nll,
+    sb_ece,
+    summarize,
+)
 from softcal.recalibrate import T_MAX, T_MIN, golden_section_minimize
 
 
@@ -37,6 +46,7 @@ def test_fit_recovers_known_temperature():
         es = scaled_posterior_set(rng, 8000, 4, scale)
         fit = fit_temperature(es, objective="nll")
         assert fit.t_star == pytest.approx(scale, rel=0.05)
+        assert not fit.at_bound
 
 
 def test_fit_on_calibrated_logits_is_near_one():
@@ -63,12 +73,8 @@ def test_fit_optimality_on_dense_grid():
         fit = fit_temperature(es, objective=objective)
         assert T_MIN <= fit.t_star <= T_MAX
         if objective == "nll":
-            from softcal import nll, summarize
-
             vals = [nll(summarize(es, t), es.labels)[0] for t in dense]
         else:
-            from softcal import SoftBinningSpec, sb_ece, summarize
-
             spec = SoftBinningSpec(num_bins=15, temperature=0.01)
             vals = [sb_ece(summarize(es, t), spec).value for t in dense]
         assert min(vals) >= fit.objective_value - 1e-6
@@ -81,6 +87,54 @@ def test_fit_trace_covers_grid_and_refinement():
     assert len(fit.trace) > 64
     ts = [t for t, _ in fit.trace]
     assert min(ts) >= T_MIN - 1e-12 and max(ts) <= T_MAX + 1e-12
+
+
+@pytest.mark.parametrize(
+    "objective, mode, p",
+    [
+        ("nll", "label-binned", 2.0),
+        ("sb-ece", "binned", 1.0),
+        ("sb-ece", "binned", 2.0),
+        ("sb-ece", "label-binned", 1.0),
+        ("sb-ece", "label-binned", 2.0),
+    ],
+)
+def test_fit_trace_matches_the_summarize_path(objective, mode, p):
+    # The fit evaluates on precomputed logit shifts; every traced value must
+    # agree with the objective computed from a full summary at that t.
+    rng = np.random.default_rng(36)
+    es = scaled_posterior_set(rng, 2000, 5, 2.0)
+    spec = SoftBinningSpec(num_bins=15, temperature=0.01)
+    fit = fit_temperature(es, objective=objective, sb_spec=spec, p=p, mode=mode)
+    for t, v in fit.trace:
+        s = summarize(es, t)
+        ref = nll(s, es.labels)[0] if objective == "nll" else sb_ece(s, spec, p=p, mode=mode).value
+        assert v == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("objective", ["nll", "sb-ece"])
+@pytest.mark.parametrize("layout", ["one-row", "fortran"])
+def test_fit_leaves_input_logits_unchanged(objective, layout):
+    # A 1-row or F-ordered logit matrix has a C-contiguous transpose, the
+    # case where the fit's shift array could alias the caller's logits.
+    rng = np.random.default_rng(38)
+    es = scaled_posterior_set(rng, 1 if layout == "one-row" else 200, 4, 2.0)
+    logits = np.asfortranarray(es.logits)
+    before = logits.copy()
+    es = EvalSet(logits, es.labels)
+    fit_temperature(es, objective=objective)
+    np.testing.assert_array_equal(logits, before)
+    np.testing.assert_array_equal(es.logits, before)
+
+
+def test_fit_pinned_at_t_max_reports_at_bound():
+    # Every label is its row's lowest logit, so p_y rises with t towards 1/K
+    # and NLL falls monotonically: the minimum lies beyond T_MAX.
+    rng = np.random.default_rng(37)
+    logits = rng.normal(0.0, 2.0, size=(300, 4))
+    fit = fit_temperature(EvalSet(logits, logits.argmin(axis=1)), objective="nll")
+    assert fit.t_star == pytest.approx(T_MAX, rel=1e-12)
+    assert fit.at_bound
 
 
 def test_fit_rejects_unknown_objective():
