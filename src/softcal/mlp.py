@@ -30,19 +30,27 @@ class MlpModel:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def forward(
+        self, x: np.ndarray, out: list[np.ndarray] | None = None
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Returns (logits, activations); activations[l] is the input to
-        layer l, kept for the backward pass."""
+        layer l, kept for the backward pass.
+
+        out, when given, is a caller-owned list of C-contiguous float64
+        arrays, one of shape (rows, fan_out) per layer, that each layer
+        writes its output into: a repeated forward of the same size then
+        allocates nothing, and the next call overwrites what this one
+        returned.  The values are bit-identical to a forward without out.
+        """
         a = np.asarray(x, dtype=np.float64)
         activations = [a]
-        for l in range(self.num_layers):
-            z = a @ self.weights[l] + self.biases[l]
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = np.matmul(a, w, out=None if out is None else out[l])
+            z += b
             if l < self.num_layers - 1:
-                a = np.maximum(z, 0.0)
+                a = np.maximum(z, 0.0, out=z)
                 activations.append(a)
-            else:
-                return z, activations
-        raise AssertionError("unreachable")
+        return z, activations
 
     def backward(
         self, activations: list[np.ndarray], grad_logits: np.ndarray

@@ -146,6 +146,7 @@ def fit_temperature(
     fn = _objective_fn(val_set, objective, sb_spec, p, mode)
 
     grid = np.exp(np.linspace(np.log(T_MIN), np.log(T_MAX), GRID_POINTS))
+    grid[0], grid[-1] = T_MIN, T_MAX  # exp(log(t)) misses both ends in the last bit
     trace: list[tuple[float, float]] = []
     values = []
     for t in grid:

@@ -72,9 +72,11 @@ class TrainReport:
 def forward_backward(
     model: MlpModel, x: np.ndarray, y: np.ndarray, spec: LossSpec
 ) -> tuple[LossValueGrad, list, list]:
-    """Composite loss on one batch plus parameter gradients (L2 included)."""
+    """Composite loss on one batch plus parameter gradients (L2 included;
+    with lam == 0 the weight norm is skipped and l2_value reads 0.0)."""
     logits, activations = model.forward(x)
-    lvg = composite_loss(logits, y, spec, weight_sq_norm=model.weight_sq_norm())
+    sq_norm = model.weight_sq_norm() if spec.lam != 0.0 else 0.0
+    lvg = composite_loss(logits, y, spec, weight_sq_norm=sq_norm)
     grads_w, grads_b = model.backward(activations, lvg.grad_logits)
     if spec.lam != 0.0:
         grads_w = [gw + 2.0 * spec.lam * w for gw, w in zip(grads_w, model.weights)]
@@ -92,11 +94,23 @@ def train(
     config: TrainConfig,
     num_classes: int | None = None,
 ) -> tuple[MlpModel, TrainReport]:
-    """SGD with momentum on the composite loss; fully seeded and deterministic."""
+    """SGD with momentum on the composite loss; fully seeded and deterministic.
+
+    Malformed validation data raises IngestionError before the first epoch;
+    non-finite logits or loss raise TrainingDivergedError naming the epoch.
+    """
     x_train, y_train = np.asarray(train_xy[0], dtype=np.float64), np.asarray(train_xy[1])
     x_val, y_val = np.asarray(val_xy[0], dtype=np.float64), np.asarray(val_xy[1])
     if num_classes is None:
         num_classes = int(max(y_train.max(), y_val.max())) + 1
+
+    if x_val.ndim != 2 or not np.isfinite(x_val).all():
+        raise IngestionError(f"validation features must be finite and 2-d, got shape {x_val.shape}")
+    # The labels pass the EvalSet rules once, here.  Every epoch's forward
+    # writes its logits into val_set.logits, the last of the buffers in
+    # val_out, so the validation pass allocates no per-epoch arrays.
+    val_set = EvalSet(np.zeros((x_val.shape[0], num_classes)), y_val)
+    val_out = [np.empty((x_val.shape[0], width)) for width in config.hidden] + [val_set.logits]
 
     rng = np.random.default_rng(config.seed)
     layer_sizes = [x_train.shape[1], *config.hidden, num_classes]
@@ -130,7 +144,10 @@ def train(
                 model.biases[l] += vel_b[l]
             batch_losses.append(lvg.value)
 
-        val_summary = summarize(EvalSet(model.forward(x_val)[0], y_val))
+        model.forward(x_val, out=val_out)
+        if not np.isfinite(val_set.logits).all():
+            raise TrainingDivergedError(f"non-finite validation logits at epoch {epoch}")
+        val_summary = summarize(val_set)
         report.train_loss.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
         report.val_accuracy.append(float(val_summary.accuracy.mean()))
         report.val_ece.append(eval_convention_ece(val_summary, config.eval_bins))

@@ -1,10 +1,15 @@
 """End-to-end CLI coverage: every subcommand plus the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import softcal
 from softcal.cli import main
 from softcal.data import EvalSet
 from softcal.io import write_logits_csv
@@ -273,6 +278,32 @@ def test_train_runs_are_reproducible(capsys, train_config, tmp_path):
     assert run_cli(capsys, "train", "--config", train_config, "--out", str(b))[0] == 0
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "test_logits.csv").read_bytes() == (b / "test_logits.csv").read_bytes()
+
+
+def test_train_output_does_not_depend_on_blas_threads(tmp_path):
+    # 200 validation and test rows through two 64-wide hidden layers: products
+    # large enough for OpenBLAS to split across threads.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seed": 3, "data": {"n": 800}, "model": {"hidden": [64, 64]},
+                                  "train": {"epochs": 3}}))
+    src = str(Path(softcal.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.pop("CALREF_SEED", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "softcal", "train", "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # model.npz is a zip whose members carry their write time, so its
+        # arrays' bytes are compared rather than the file's.
+        with np.load(out / "model.npz") as arrays:
+            params = {k: (arrays[k].dtype.str, arrays[k].shape, arrays[k].tobytes()) for k in arrays.files}
+        runs.append(((out / "report.json").read_bytes(), (out / "test_logits.csv").read_bytes(), params))
+    assert runs[0] == runs[1]
 
 
 def test_seed_precedence_flag_env_config(capsys, train_config, tmp_path, monkeypatch):

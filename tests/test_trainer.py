@@ -1,14 +1,18 @@
 """Trainer and MLP: gradients, the momentum update, determinism, the sweep."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from softcal import (
+    IngestionError,
     LossSpec,
     MlpModel,
     SweepRow,
     TrainConfig,
     TrainingDivergedError,
+    composite_loss,
     forward_backward,
     make_synthetic_task,
     summarize,
@@ -115,6 +119,59 @@ def test_parameter_gradients_match_finite_differences():
     assert max_rel_err(analytic, numeric) < 1e-4
 
 
+def _layer_buffers(model, rows):
+    return [np.empty((rows, w.shape[1])) for w in model.weights]
+
+
+@pytest.mark.parametrize("sizes", [[3, 4], [3, 7, 4], [3, 7, 5, 4]])
+def test_buffered_forward_matches_fresh_forward(sizes):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((33, 3))
+    models = [MlpModel.init(sizes, rng) for _ in range(2)]
+    for model in models:
+        for b in model.biases:
+            b[:] = rng.standard_normal(b.shape)
+    out = _layer_buffers(models[0], len(x))
+    for b in out:
+        b.fill(np.nan)
+    # The second model reuses the buffers the first one filled.
+    for model in models:
+        logits, activations = model.forward(x, out=out)
+        ref_logits, ref_activations = model.forward(x)
+        assert logits is out[-1]
+        np.testing.assert_array_equal(logits, ref_logits)
+        assert len(activations) == len(ref_activations) == len(sizes) - 1
+        for a, ref in zip(activations, ref_activations):
+            np.testing.assert_array_equal(a, ref)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
+def test_buffered_forward_adds_no_page_faults():
+    import resource
+
+    rng = np.random.default_rng(6)
+    model = MlpModel.init([2, 128, 128, 2], rng)
+    x = rng.standard_normal((768, 2))
+    out = _layer_buffers(model, len(x))
+    model.forward(x, out=out)  # first touch of the buffers
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        model.forward(x, out=out)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+
+def test_zero_lam_skips_the_weight_norm_only():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((12, 2))
+    y = rng.integers(0, 3, size=12)
+    model = MlpModel.init([2, 6, 3], rng)
+    spec = LossSpec(secondary="sb-ece", beta=0.5)
+    lvg, _, _ = forward_backward(model, x, y, spec)
+    full = composite_loss(model.forward(x)[0], y, spec, weight_sq_norm=model.weight_sq_norm())
+    assert lvg.value == full.value and lvg.l2_value == 0.0
+    np.testing.assert_array_equal(lvg.grad_logits, full.grad_logits)
+
+
 # ------------------------------------------------------------------ train
 
 
@@ -193,6 +250,26 @@ def test_divergence_raises():
     cfg = TrainConfig(hidden=(8,), learning_rate=1e8, epochs=5, batch_size=32, seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
         train((task.x_train, task.y_train), (task.x_val, task.y_val), cfg)
+
+
+def test_divergence_in_the_validation_pass_raises():
+    # 32 training rows make one batch per epoch: its loss is still finite,
+    # and the step it takes sends the validation logits to inf/nan.
+    task = make_synthetic_task("gaussian-blobs", 256, seed=11, splits=(0.125, 0.375, 0.5))
+    assert len(task.y_train) == 32
+    cfg = TrainConfig(hidden=(8,), learning_rate=1e300, epochs=2, batch_size=32, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch 0"):
+        train((task.x_train, task.y_train), (task.x_val, task.y_val), cfg)
+
+
+def test_bad_validation_data_is_an_ingestion_error():
+    task = make_synthetic_task("gaussian-blobs", 300, seed=11)
+    cfg = TrainConfig(hidden=(8,), epochs=1, seed=0)
+    x_nan = task.x_val.copy()
+    x_nan[3, 0] = np.nan
+    for x_val, y_val in ((x_nan, task.y_val), (task.x_val, task.y_val + 5)):
+        with pytest.raises(IngestionError):
+            train((task.x_train, task.y_train), (x_val, y_val), cfg, num_classes=2)
 
 
 def test_config_validation():
