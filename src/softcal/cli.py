@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,12 @@ from .io import (
     DataError,
     RunConfig,
     UsageError,
+    load_json,
     load_run_config,
     read_logits_csv,
     write_logits_csv,
 )
+from .losses import LossSpec
 from .metrics import check_p, ece, eval_convention_ece, reliability_table, sb_ece
 from .recalibrate import fit_temperature
 from .synthetic import make_synthetic_task
@@ -182,14 +185,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_grid(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except OSError as err:
-        raise DataError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise DataError(f"{path} is not valid JSON: {err}") from err
+def _load_grid(path: str, loss: LossSpec) -> dict:
+    """The sweep grids at path, each value checked by building its LossSpec from loss."""
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise UsageError("grid file must be a JSON object")
     unknown = set(doc) - set(SWEEP_ORDER)
@@ -200,13 +198,18 @@ def _load_grid(path: str) -> dict:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
         ):
             raise UsageError(f"grid for {key!r} must be a list of numbers")
+        for value in values:
+            try:
+                replace(loss, **{key: value})
+            except ValueError as err:
+                raise UsageError(f"grid value {key}={value!r}: {err}") from None
     return doc
 
 
 def cmd_sweep(args) -> int:
     config = load_run_config(args.config)
     config = config.with_seed(_resolve_seed(args.seed, config.seed))
-    grids = _load_grid(args.grid)
+    grids = _load_grid(args.grid, config.loss_spec())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     task = _make_task(config)

@@ -2,7 +2,10 @@
 
 Logits CSV: no header; each row is `label,z1,...,zK` with K >= 2 constant
 across rows.  Floats are written with Python's shortest round-trip repr, so
-write -> read is value-identical.
+write -> read is value-identical.  A file is parsed in one np.loadtxt pass;
+one that pass refuses is parsed again line by line with the csv module, int()
+and float(), and that scan alone defines the accepted syntax and the error
+messages, so both paths return the same arrays or raise the same error.
 
 Run config JSON: four optional sections (data, model, train, loss) plus a
 seed.  Unknown keys anywhere are rejected rather than ignored, since a typo
@@ -32,44 +35,80 @@ class DataError(Exception):
 
 
 def read_logits_csv(path: str) -> EvalSet:
-    """Parse a logits CSV into an EvalSet, reporting 1-based line numbers."""
-    labels: list[int] = []
-    rows: list[list[float]] = []
-    width = None
+    """Parse a logits CSV into an EvalSet, reporting 1-based line numbers.
+
+    Files that _loadtxt_logits refuses, and pipes, go to _scan_logits_csv,
+    which defines what is valid and writes every error message.
+    """
     try:
         handle = open(path, newline="")
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from err
     with handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if len(row) < 3:
-                raise DataError(
-                    f"{path}:{lineno}: need a label and at least 2 logits, got {len(row)} fields"
-                )
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(row)}"
-                )
+        if handle.seekable():
             try:
-                label = int(row[0])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: label {row[0]!r} is not an integer") from None
-            try:
-                logits = [float(v) for v in row[1:]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric logit") from None
-            if not all(np.isfinite(logits)):
-                raise DataError(f"{path}:{lineno}: non-finite logit")
-            if not 0 <= label < width - 1:
-                raise DataError(
-                    f"{path}:{lineno}: label {label} outside [0, {width - 1})"
-                )
-            labels.append(label)
-            rows.append(logits)
+                return _loadtxt_logits(handle)
+            except ValueError:  # refusals, loadtxt's parse errors, IngestionError, UnicodeDecodeError
+                handle.seek(0)
+        return _scan_logits_csv(path, handle)
+
+
+def _loadtxt_logits(handle) -> EvalSet:
+    """One np.loadtxt pass, with K taken from the first line; ValueError
+    where it refuses the file.
+
+    np.loadtxt strips \\x1c-\\x1f and reads some non-ASCII text as digits
+    where int() and float() refuse them, so it refuses text with those
+    characters, and a first line with under two logits (blank ones included).
+    """
+    for chunk in iter(lambda: handle.read(1 << 20), ""):
+        if not chunk.isascii() or any(c in chunk for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("text outside what np.loadtxt parses as int() and float() do")
+    handle.seek(0)
+    width = handle.readline().count(",") + 1
+    if width < 3:
+        raise ValueError("under two logits on the first line")
+    handle.seek(0)
+    record = np.dtype([("label", np.int64), ("logits", np.float64, (width - 1,))])
+    rows = np.loadtxt(handle, dtype=record, delimiter=",", comments=None, ndmin=1)
+    return EvalSet(np.ascontiguousarray(rows["logits"]), rows["label"].copy())
+
+
+def _scan_logits_csv(path: str, handle) -> EvalSet:
+    """The reference line-by-line parse behind read_logits_csv; path names
+    the file in error messages."""
+    labels: list[int] = []
+    rows: list[list[float]] = []
+    width = None
+    for lineno, row in enumerate(csv.reader(handle), start=1):
+        if not row:
+            continue
+        if len(row) < 3:
+            raise DataError(
+                f"{path}:{lineno}: need a label and at least 2 logits, got {len(row)} fields"
+            )
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataError(
+                f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+            )
+        try:
+            label = int(row[0])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: label {row[0]!r} is not an integer") from None
+        try:
+            logits = [float(v) for v in row[1:]]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric logit") from None
+        if not all(np.isfinite(logits)):
+            raise DataError(f"{path}:{lineno}: non-finite logit")
+        if not 0 <= label < width - 1:
+            raise DataError(
+                f"{path}:{lineno}: label {label} outside [0, {width - 1})"
+            )
+        labels.append(label)
+        rows.append(logits)
     if not rows:
         raise DataError(f"{path}: no data rows")
     try:
@@ -78,11 +117,18 @@ def read_logits_csv(path: str) -> EvalSet:
         raise DataError(f"{path}: {err}") from err
 
 
+_WRITE_BLOCK_ROWS = 4096
+
+
 def write_logits_csv(path: str, eval_set: EvalSet) -> None:
+    # Rows go through .tolist() a block at a time: Python floats repr as the
+    # shortest round-trip string, and one list of every row would hold
+    # ~0.4 KB per 10-logit row at once.
     with open(path, "w", newline="") as handle:
-        for label, row in zip(eval_set.labels, eval_set.logits):
-            handle.write(",".join([str(int(label)), *(repr(float(v)) for v in row)]))
-            handle.write("\n")
+        for start in range(0, eval_set.n, _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            for label, row in zip(eval_set.labels[block].tolist(), eval_set.logits[block].tolist()):
+                handle.write(f"{label},{','.join(map(repr, row))}\n")
 
 
 _LOSS_DEFAULTS = {f.name: f.default for f in fields(LossSpec)}
@@ -186,12 +232,16 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     return cfg
 
 
-def load_run_config(path: str) -> RunConfig:
+def load_json(path: str):
+    """The parsed JSON document at path; unreadable or invalid files are data errors."""
     try:
         with open(path) as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise DataError(f"{path} is not valid JSON: {err}") from err
-    return run_config_from_dict(doc)
+
+
+def load_run_config(path: str) -> RunConfig:
+    return run_config_from_dict(load_json(path))

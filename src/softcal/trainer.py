@@ -13,6 +13,7 @@ validation ECE among configs within 1% relative accuracy of the stage's best.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,8 +46,12 @@ class TrainConfig:
     eval_bins: int = 15
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("learning_rate, epochs and batch_size must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size),
+                            *(("hidden width", width) for width in self.hidden)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass

@@ -334,11 +334,46 @@ def test_train_config_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"train": {"epochs": 1.5}},
+        {"train": {"batch_size": 2.5}},
+        {"train": {"epochs": True}},
+        {"model": {"hidden": [-3]}},
+        {"model": {"hidden": [0]}},
+        {"model": {"hidden": [8, 4.0]}},
+    ],
+)
+def test_non_integer_or_non_positive_sizes_exit_64_before_training(capsys, tmp_path, section):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(section))
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(capsys, "train", "--config", str(bad), "--out", str(out_dir))
+    assert code == 64 and err.startswith("usage error:") and "positive integer" in err
+    assert not out_dir.exists()
+
+
 def test_unwritable_out_dir_is_an_internal_error(capsys, train_config, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
     code, _, err = run_cli(capsys, "train", "--config", train_config, "--out", str(blocker))
     assert code == 1 and err.startswith("internal error:")
+
+
+def test_metrics_reads_logits_from_a_pipe(four_row_csv):
+    # A pipe cannot be rewound, so the file goes straight to the line scanner.
+    text = Path(four_row_csv).read_text()
+    cmd = [sys.executable, "-m", "softcal", "metrics", "--bins", "2", "--scheme", "equal-width", "--p", "1"]
+    src = str(Path(softcal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    piped = subprocess.run([*cmd, "--logits", "/dev/stdin"], input=text, capture_output=True,
+                           text=True, env=env, timeout=120)
+    from_file = subprocess.run([*cmd, "--logits", four_row_csv], capture_output=True,
+                               text=True, env=env, timeout=120)
+    assert piped.returncode == 0, piped.stderr
+    assert json.loads(piped.stdout) == json.loads(from_file.stdout)
+    assert json.loads(piped.stdout)["ece_percent"] == pytest.approx(5.0)
 
 
 # ------------------------------------------------------------------- sweep
@@ -395,3 +430,22 @@ def test_sweep_grid_validation(capsys, sweep_inputs, tmp_path):
 
     code, _, _ = run_cli(capsys, "sweep", "--config", cfg, "--grid", str(tmp_path / "gone.json"), "--out", str(tmp_path / "o"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "grid, fragment",
+    [
+        ({"kappa": [0.5, 0.0]}, "kappa must be > 0"),
+        ({"soft_temperature": [-1.0]}, "soft_temperature must be > 0"),
+        ({"beta": [1.0, -0.5]}, "beta and lam must be >= 0"),
+        ({"lam": [-1e-3]}, "beta and lam must be >= 0"),
+    ],
+)
+def test_grid_values_the_loss_refuses_exit_64_before_training(capsys, sweep_inputs, tmp_path, grid, fragment):
+    cfg, _ = sweep_inputs
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(grid))
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--grid", str(bad), "--out", str(out_dir))
+    assert code == 64 and err.startswith("usage error: grid value") and fragment in err
+    assert not out_dir.exists()

@@ -283,6 +283,29 @@ def test_config_validation():
             TrainConfig(**bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(epochs=1.5),
+        dict(epochs=True),
+        dict(batch_size=2.5),
+        dict(batch_size=-1),
+        dict(hidden=(0,)),
+        dict(hidden=(-3,)),
+        dict(hidden=(8, 2.0)),
+        dict(hidden=(True,)),
+    ],
+)
+def test_sizes_must_be_positive_integers(bad):
+    with pytest.raises(ValueError, match="positive integer"):
+        TrainConfig(**bad)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    cfg = TrainConfig(hidden=(np.int64(8),), epochs=np.int32(3), batch_size=np.int64(16))
+    assert cfg.hidden == (8,) and cfg.epochs == 3 and cfg.batch_size == 16
+
+
 # ------------------------------------------------------------------ sweep
 
 
