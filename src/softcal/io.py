@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -70,7 +71,11 @@ def _loadtxt_logits(handle) -> EvalSet:
         raise ValueError("under two logits on the first line")
     handle.seek(0)
     record = np.dtype([("label", np.int64), ("logits", np.float64, (width - 1,))])
-    rows = np.loadtxt(handle, dtype=record, delimiter=",", comments=None, ndmin=1)
+    with warnings.catch_warnings():
+        # numpy 1.23-1.26 read a label written "1.5" as 1 with only this
+        # DeprecationWarning; as an error, loadtxt raises ValueError instead.
+        warnings.simplefilter("error", DeprecationWarning)
+        rows = np.loadtxt(handle, dtype=record, delimiter=",", comments=None, ndmin=1)
     return EvalSet(np.ascontiguousarray(rows["logits"]), rows["label"].copy())
 
 

@@ -63,6 +63,9 @@ class LossSpec:
             raise ValueError("bin_temperature and soft_temperature must be > 0")
         if self.kappa <= 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if self.secondary == "s-avuc" and not self.kappa < 1:
+            # S-AvUC thresholds normalized entropy, which lies in [0, 1].
+            raise ValueError(f"kappa must lie in (0, 1) for s-avuc, got {self.kappa}")
         if (self.beta == 0) != (self.secondary == "none"):
             warnings.warn(
                 f"beta = {self.beta} with secondary = {self.secondary!r}: the "

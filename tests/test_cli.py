@@ -436,6 +436,7 @@ def test_sweep_grid_validation(capsys, sweep_inputs, tmp_path):
     "grid, fragment",
     [
         ({"kappa": [0.5, 0.0]}, "kappa must be > 0"),
+        ({"kappa": [1.5]}, "kappa must lie in (0, 1) for s-avuc"),
         ({"soft_temperature": [-1.0]}, "soft_temperature must be > 0"),
         ({"beta": [1.0, -0.5]}, "beta and lam must be >= 0"),
         ({"lam": [-1e-3]}, "beta and lam must be >= 0"),

@@ -1,5 +1,7 @@
 """Logits CSV parsing/writing and the JSON run configuration."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -145,9 +147,10 @@ def _scan(path):
         return _scan_logits_csv(path, handle)
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=300)
 @given(logits_csv_text())
+@example("1.5,0.0,1.0\n")  # numpy 1.23-1.26 loadtxt truncates an int field written as a float
+@example("-0.5,0.0,1.0\n")
 @example("0\x1c,1.0,2.0\n")  # np.loadtxt strips \x1c, int() refuses it
 @example("\u01fe," + ",".join(["0.0"] * 463) + "\n")  # np.loadtxt reads this label as 462
 @example("0,1.0,2.0\n \n")
@@ -164,6 +167,22 @@ def test_read_matches_the_line_scanner(tmp_path_factory, text):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.flags.c_contiguous and b.flags.c_contiguous
         assert a.tobytes() == b.tobytes()
+
+
+def test_a_label_loadtxt_reads_via_a_float_goes_to_the_scanner(tmp_path, monkeypatch):
+    def loadtxt_of_numpy_1_23(handle, dtype, **kwargs):
+        # What numpy 1.23-1.26 do with "1.5,0.0,1.0": warn once, return label 1;
+        # their row parser turns the warning, when it is an error, into ValueError.
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        except DeprecationWarning as err:
+            raise ValueError("could not convert string '1.5' to int64") from err
+        return np.array([(1, [0.0, 1.0])], dtype=dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_of_numpy_1_23)
+    path = write(tmp_path, "1.5,0.0,1.0\n")
+    with pytest.raises(DataError, match=r":1: label '1.5' is not an integer"):
+        read_logits_csv(path)
 
 
 def test_well_formed_files_never_reach_the_scanner(tmp_path, monkeypatch):
