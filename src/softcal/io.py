@@ -24,6 +24,7 @@ import numpy as np
 
 from .data import EvalSet, IngestionError
 from .losses import LossSpec
+from .synthetic import check_task_args
 from .trainer import TrainConfig
 
 
@@ -232,6 +233,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         )
         # Construct the typed objects eagerly so bad values fail at load time.
         cfg.train_config()
+        check_task_args(cfg.data["kind"], cfg.data["n"], cfg.data["classes"], tuple(cfg.data["splits"]))
     except (TypeError, ValueError) as err:
         raise UsageError(f"invalid config value: {err}") from err
     return cfg

@@ -1,9 +1,10 @@
 """Post-hoc temperature scaling.
 
 A single scalar t > 0 divides the logits.  Fitting minimizes either NLL
-(classic temperature scaling) or SB-ECE over a coarse log-spaced grid on
-[0.05, 10] followed by golden-section refinement of the bracketing interval.
-The returned t is the best point ever evaluated, so its objective value never
+(classic temperature scaling) or SB-ECE over a 16-point log-spaced grid on
+[0.05, 10] followed by a bounded Brent search (parabolic interpolation with a
+golden-section fallback) of the interval bracketing the best grid point.  The
+returned t is the best point ever evaluated, so its objective value never
 exceeds any trace entry.
 
 Every evaluation works from the logit shifts z - max_k z, computed once per
@@ -32,11 +33,12 @@ OBJECTIVES = ("nll", "sb-ece")
 
 T_MIN = 0.05
 T_MAX = 10.0
-GRID_POINTS = 64
+GRID_POINTS = 16
 REFINE_TOL = 1e-4
 
-# 2 / (1 + sqrt(5)), the fraction of the bracket discarded per iteration.
-_INV_PHI = 2.0 / (1.0 + np.sqrt(5.0))
+# (3 - sqrt(5)) / 2, the golden-section step as a fraction of the larger part.
+_GOLDEN = 0.5 * (3.0 - 5.0**0.5)
+_SQRT_EPS = 2.0**-26  # sqrt of the float64 machine epsilon
 
 
 class FitError(RuntimeError):
@@ -64,34 +66,60 @@ def apply_temperature(eval_set: EvalSet, temperature: float) -> PredictionSummar
     return summarize(eval_set, temperature)
 
 
-def golden_section_minimize(
+def brent_minimize(
     fn: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float, list[tuple[float, float]]]:
-    """Golden-section search on [lo, hi]; returns the best evaluated point,
-    its value, and every (x, f) pair seen."""
+    """Bounded Brent search on (lo, hi), as in fminbound: a parabola through
+    the three best points when its step is acceptable, else a golden-section
+    step.  Returns the best evaluated point, its value and every (x, f) pair
+    seen.  A non-finite value counts as +inf, so the search moves away from
+    it, and the value returned is inf only when no evaluation was finite."""
     evals: list[tuple[float, float]] = []
 
     def f(x: float) -> float:
         v = float(fn(x))
         evals.append((x, v))
-        return v
+        return v if np.isfinite(v) else np.inf
 
     a, b = float(lo), float(hi)
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
+    # x is the best point so far, w the second best and v the previous w;
+    # d is the last step and e the one before it.
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p = -p if q > 0.0 else p
+            q, e_prev, e = abs(q), e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if min(x + d - a, b - x - d) < 2.0 * tol1:
+                    d = tol1 if mid >= x else -tol1
+        if golden:
+            e = (a if x >= mid else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d >= 0.0 else -tol1))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-    finite = [(x, v) for x, v in evals if np.isfinite(v)]
-    best_x, best_v = min(finite, key=lambda xv: xv[1]) if finite else (0.5 * (a + b), np.inf)
-    return best_x, best_v, evals
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx, evals
 
 
 def _objective_fn(
@@ -159,7 +187,7 @@ def fit_temperature(
     best = int(np.nanargmin(np.where(np.isfinite(values), values, np.nan)))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    t_ref, v_ref, refine_evals = golden_section_minimize(fn, lo, hi, REFINE_TOL)
+    t_ref, v_ref, refine_evals = brent_minimize(fn, lo, hi, REFINE_TOL)
     trace.extend((float(x), float(v)) for x, v in refine_evals)
     del fn  # frees the shift buffers before the ECE summaries below
 

@@ -11,6 +11,7 @@ label-noise-blobs: gaussian-blobs with labels flipped to a random other
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,17 @@ def _flip_labels(
     return np.where(flip, (y + offsets) % classes, y)
 
 
+def check_task_args(kind: str, n: int, classes: int, splits: tuple) -> None:
+    """Raise the ValueError make_synthetic_task gives for these arguments, if any."""
+    if kind not in TASK_KINDS:
+        raise ValueError(f"kind must be one of {TASK_KINDS}, got {kind!r}")
+    for name, value, least in (("n", n, 100), ("classes", classes, 2)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if len(splits) != 3 or abs(sum(splits) - 1.0) > 1e-9 or min(splits) <= 0:
+        raise ValueError(f"splits must be three positive fractions summing to 1, got {splits}")
+
+
 def make_synthetic_task(
     kind: str,
     n: int,
@@ -91,15 +103,7 @@ def make_synthetic_task(
     splits: tuple[float, float, float] = (0.5, 0.25, 0.25),
 ) -> SyntheticTask:
     """Sample n examples and split them train/val/test by the given fractions."""
-    if kind not in TASK_KINDS:
-        raise ValueError(f"kind must be one of {TASK_KINDS}, got {kind!r}")
-    if n < 100:
-        raise ValueError(f"n must be >= 100, got {n}")
-    if classes < 2:
-        raise ValueError(f"classes must be >= 2, got {classes}")
-    if abs(sum(splits) - 1.0) > 1e-9 or min(splits) <= 0:
-        raise ValueError(f"splits must be positive and sum to 1, got {splits}")
-
+    check_task_args(kind, n, classes, splits)
     rng = np.random.default_rng(seed)
     if kind == "noisy-moons":
         classes = 2

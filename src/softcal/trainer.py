@@ -49,9 +49,13 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size),
+                            ("eval_bins", self.eval_bins),
                             *(("hidden width", width) for width in self.hidden)):
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for epoch in self.lr_drop_epochs:
+            if not isinstance(epoch, numbers.Integral) or isinstance(epoch, bool) or epoch < 0:
+                raise ValueError(f"lr_drop_epochs must be non-negative integers, got {epoch!r}")
 
 
 @dataclass

@@ -203,3 +203,31 @@ def max_rel_err(analytic, numeric, floor=1e-8):
     b = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
+
+
+def reference_temperature_search(fn, t_min, t_max, grid_points=64, tol=1e-4):
+    """The exhaustive temperature search the fitter is held to: a log grid of
+    grid_points on [t_min, t_max], then golden-section search of the interval
+    between the best grid point's neighbours down to width tol.  fn is the
+    objective of t; returns the best finite (t, fn(t)) evaluated."""
+    grid = np.exp(np.linspace(np.log(t_min), np.log(t_max), grid_points))
+    grid[0], grid[-1] = t_min, t_max
+    seen = [(float(t), float(fn(t))) for t in grid]
+    best = min(range(grid_points), key=lambda i: seen[i][1] if np.isfinite(seen[i][1]) else np.inf)
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]
+    inv_phi = 2.0 / (1.0 + np.sqrt(5.0))
+    x1, x2 = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    seen += [(x1, f1), (x2, f2)]
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = fn(x1)
+            seen.append((x1, f1))
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = fn(x2)
+            seen.append((x2, f2))
+    return min((tv for tv in seen if np.isfinite(tv[1])), key=lambda tv: tv[1])

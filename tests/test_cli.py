@@ -12,7 +12,8 @@ import pytest
 import softcal
 from softcal.cli import main
 from softcal.data import EvalSet
-from softcal.io import write_logits_csv
+from softcal.io import read_logits_csv, write_logits_csv
+from softcal.recalibrate import GRID_POINTS, fit_temperature
 
 
 @pytest.fixture(autouse=True)
@@ -209,7 +210,8 @@ def test_recalibrate_overconfident_logits(capsys, recal_files):
     fields = dict(item.split("=") for item in err.split()[1:])
     assert fields["objective"] == "nll"
     assert float(fields["t_star"]) == doc["tStar"]
-    assert int(fields["evaluations"]) > 64
+    es = read_logits_csv(recal_files["val2"])
+    assert int(fields["evaluations"]) == len(fit_temperature(es, objective="nll").trace) > GRID_POINTS
     assert fields["at_bound"] == "False"
 
 
@@ -224,7 +226,7 @@ def test_recalibrate_leaves_calibrated_logits_alone(capsys, recal_files):
 
 def test_recalibrate_sb_objective_and_trace(capsys, recal_files, tmp_path):
     trace = tmp_path / "trace.csv"
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "recalibrate", "--val-logits", recal_files["val2"],
         "--test-logits", recal_files["test2"], "--objective", "sb-ece",
         "--bins", "8", "--trace", str(trace),
@@ -233,7 +235,7 @@ def test_recalibrate_sb_objective_and_trace(capsys, recal_files, tmp_path):
     assert json.loads(out)["objective"] == "sb-ece"
     lines = trace.read_text().strip().split("\n")
     assert lines[0] == "temperature,objective"
-    assert len(lines) > 64
+    assert len(lines) - 1 == int(err.split("evaluations=")[1].split()[0])
     for line in lines[1:]:
         t, v = line.split(",")
         assert float(t) > 0 and np.isfinite(float(v))
@@ -351,6 +353,29 @@ def test_non_integer_or_non_positive_sizes_exit_64_before_training(capsys, tmp_p
     out_dir = tmp_path / "o"
     code, _, err = run_cli(capsys, "train", "--config", str(bad), "--out", str(out_dir))
     assert code == 64 and err.startswith("usage error:") and "positive integer" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"train": {"eval_bins": 0}},
+        {"train": {"eval_bins": 2.5}},
+        {"train": {"lr_drop_epochs": ["x"]}},
+        {"data": {"n": 50}},
+        {"data": {"n": 150.5}},
+        {"data": {"kind": "nope"}},
+        {"data": {"splits": [1, 0, 0]}},
+        {"data": {"splits": [1]}},
+        {"data": {"classes": 1}},
+    ],
+)
+def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_path, section):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(section))
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(capsys, "train", "--config", str(bad), "--out", str(out_dir))
+    assert code == 64 and err.startswith("usage error: invalid config value:")
     assert not out_dir.exists()
 
 
