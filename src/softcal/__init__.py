@@ -19,7 +19,7 @@ from .binning import (
     soft_membership,
     soft_membership_grad,
 )
-from .data import EvalSet, IngestionError, PredictionSummary, argmax_stable, summarize
+from .data import EvalSet, IngestionError, PredictionSummary, summarize
 from .losses import LossSpec, LossValueGrad, composite_loss, focal, mse, nll
 from .metrics import (
     BINNED,
@@ -27,7 +27,6 @@ from .metrics import (
     BinStats,
     EceReport,
     bin_stats_hard,
-    bin_stats_soft,
     ece,
     eval_convention_ece,
     reliability_table,
@@ -36,7 +35,7 @@ from .metrics import (
     sb_ece_grad,
 )
 from .mlp import MlpModel
-from .recalibrate import TemperatureFit, apply_temperature, fit_temperature
+from .recalibrate import TemperatureFit, fit_temperature
 from .synthetic import TASK_KINDS, SyntheticTask, make_synthetic_task
 from .trainer import (
     SweepRow,
@@ -74,13 +73,10 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainingDivergedError",
-    "apply_temperature",
-    "argmax_stable",
     "assign_hard",
     "avuc",
     "avuc_grad",
     "bin_stats_hard",
-    "bin_stats_soft",
     "composite_loss",
     "ece",
     "eval_convention_ece",

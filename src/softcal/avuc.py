@@ -49,11 +49,11 @@ class AvucSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.kappa) or self.kappa <= 0:
-            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+            raise ValueError(f"kappa must be > 0 and finite, got {self.kappa}")
         if self.temperature is not None and (
             not np.isfinite(self.temperature) or self.temperature <= 0
         ):
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+            raise ValueError(f"S-AvUC soft_temperature must be > 0 and finite, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -95,46 +95,47 @@ def soft_uncertainty(hstar, kappa: float, temperature: float):
 
 def soft_uncertainty_grad(hstar, kappa: float, temperature: float):
     """dt/dh* = t (1 - t) / (T h* (1 - h*)); zero in the clamped region."""
-    h_raw = np.asarray(hstar, dtype=np.float64)
-    h = np.clip(h_raw, _HSTAR_LO, _HSTAR_HI)
-    t = soft_uncertainty(h, kappa, temperature)
-    grad = t * (1.0 - t) / (temperature * h * (1.0 - h))
-    grad = np.where((h_raw < _HSTAR_LO) | (h_raw > _HSTAR_HI), 0.0, grad)
+    grad = _soft_uncertainty_slope(hstar, soft_uncertainty(hstar, kappa, temperature), temperature)
     return float(grad) if np.ndim(hstar) == 0 else grad
 
 
-def _loss_from(q: float, d: float) -> float:
-    if d <= 0.0:
+def _soft_uncertainty_slope(hstar, t, temperature: float) -> np.ndarray:
+    """dt/dh* from t = soft_uncertainty(h*, kappa, temperature)."""
+    h_raw = np.asarray(hstar, dtype=np.float64)
+    h = np.clip(h_raw, _HSTAR_LO, _HSTAR_HI)
+    grad = t * (1.0 - t) / (temperature * h * (1.0 - h))
+    return np.where((h_raw < _HSTAR_LO) | (h_raw > _HSTAR_HI), 0.0, grad)
+
+
+def _loss_from(counts: AvucCounts) -> float:
+    if counts.denominator <= 0.0:
         raise DegenerateBatchError(
-            f"denominator count n_AC + n_IU = {d}; batch has no accurate-certain "
-            "or inaccurate-uncertain mass"
+            f"denominator count n_AC + n_IU = {counts.denominator}; batch has no "
+            "accurate-certain or inaccurate-uncertain mass"
         )
-    return float(np.log1p(q / d))
+    return float(np.log1p(counts.numerator / counts.denominator))
 
 
-def avuc_counts(
-    conf: np.ndarray, tanh_ent: np.ndarray, certain: np.ndarray, acc: np.ndarray
-) -> AvucCounts:
-    """Weighted counts of the four accuracy x certainty cells.
-
-    Exposed separately so callers can freeze individual factors (the
-    gradient-stopped finite-difference oracle does exactly that).
-    """
-    acc = acc.astype(bool)
-    unc = ~certain
-    return AvucCounts(
-        n_ac=float((conf * (1.0 - tanh_ent))[acc & certain].sum()),
-        n_au=float((conf * tanh_ent)[acc & unc].sum()),
-        n_ic=float(((1.0 - conf) * (1.0 - tanh_ent))[~acc & certain].sum()),
-        n_iu=float(((1.0 - conf) * tanh_ent)[~acc & unc].sum()),
+def _avuc_forward(summary: PredictionSummary, spec: AvucSpec):
+    """Loss, counts, tanh(h) and the accurate and certain masks of the hard
+    loss: the forward half shared by avuc and avuc_grad."""
+    c = summary.confidence
+    w = np.tanh(summary.entropy)
+    a = summary.accuracy.astype(bool)
+    certain = summary.entropy <= spec.kappa
+    counts = AvucCounts(
+        n_ac=float((c * (1.0 - w))[a & certain].sum()),
+        n_au=float((c * w)[a & ~certain].sum()),
+        n_ic=float(((1.0 - c) * (1.0 - w))[~a & certain].sum()),
+        n_iu=float(((1.0 - c) * w)[~a & ~certain].sum()),
     )
+    return _loss_from(counts), counts, w, a, certain
 
 
 def avuc(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, AvucCounts]:
     """Hard-threshold AvUC loss; h = kappa counts as certain."""
-    certain = summary.entropy <= spec.kappa
-    counts = avuc_counts(summary.confidence, np.tanh(summary.entropy), certain, summary.accuracy)
-    return _loss_from(counts.numerator, counts.denominator), counts
+    value, counts, _, _, _ = _avuc_forward(summary, spec)
+    return value, counts
 
 
 def avuc_grad(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, np.ndarray]:
@@ -143,83 +144,56 @@ def avuc_grad(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, np.nda
     With spec.gradient_stopping the confidence factors are held constant, so
     gradient flows only through tanh(h); the forward value is unchanged.
     """
+    value, counts, w, a, certain = _avuc_forward(summary, spec)
     c = summary.confidence
-    h = summary.entropy
-    a = summary.accuracy.astype(bool)
-    w = np.tanh(h)
-    sech2 = 1.0 - w**2
-    certain = h <= spec.kappa
-
-    counts = avuc_counts(c, w, certain, summary.accuracy)
     q, d = counts.numerator, counts.denominator
-    value = _loss_from(q, d)
     dl_dq = 1.0 / (q + d)
     dl_dd = 1.0 / (q + d) - 1.0 / d
 
-    au = a & ~certain
-    ac = a & certain
-    ic = ~a & certain
-    iu = ~a & ~certain
-
     # Per-example derivative of its cell term with respect to c_i and h_i,
-    # scaled by the loss derivative for the count the cell feeds.
-    dc = np.zeros_like(c)
-    dh = np.zeros_like(h)
-    dc[au] = dl_dq * w[au]
-    dh[au] = dl_dq * c[au] * sech2[au]
-    dc[ac] = dl_dd * (1.0 - w[ac])
-    dh[ac] = -dl_dd * c[ac] * sech2[ac]
-    dc[ic] = -dl_dq * (1.0 - w[ic])
-    dh[ic] = -dl_dq * (1.0 - c[ic]) * sech2[ic]
-    dc[iu] = -dl_dd * w[iu]
-    dh[iu] = dl_dd * (1.0 - c[iu]) * sech2[iu]
-    if spec.gradient_stopping:
-        dc[:] = 0.0
-
-    grad = dc[:, None] * confidence_logit_jacobian(summary) + dh[:, None] * entropy_logit_jacobian(summary)
+    # scaled by the loss derivative for the count the cell feeds: AC and IU
+    # feed the denominator, AU and IC the numerator.
+    slope = np.where(a == certain, dl_dd, dl_dq)
+    dh = np.where(certain, -slope, slope) * np.where(a, c, 1.0 - c) * (1.0 - w**2)
+    grad = dh[:, None] * entropy_logit_jacobian(summary)
+    if not spec.gradient_stopping:
+        dc = np.where(a, slope, -slope) * np.where(certain, 1.0 - w, w)
+        grad += dc[:, None] * confidence_logit_jacobian(summary)
     return value, grad
 
 
-def s_avuc_counts(soft_unc: np.ndarray, tanh_ent: np.ndarray, acc: np.ndarray) -> AvucCounts:
-    """Soft counts: every example contributes to both its numerator and
-    denominator cell, weighted by t and (1 - t)."""
-    acc = acc.astype(bool)
-    tw = soft_unc * tanh_ent
-    cw = (1.0 - soft_unc) * (1.0 - tanh_ent)
-    return AvucCounts(
-        n_ac=float(cw[acc].sum()),
-        n_au=float(tw[acc].sum()),
-        n_ic=float(cw[~acc].sum()),
-        n_iu=float(tw[~acc].sum()),
+def _s_avuc_forward(summary: PredictionSummary, spec: AvucSpec):
+    """Loss, counts, soft uncertainty t, tanh(h) and accuracy of S-AvUC: the
+    forward half shared by s_avuc and s_avuc_grad.  Every example feeds
+    both its numerator and its denominator cell, weighted by t and (1 - t)."""
+    if spec.temperature is None:
+        raise ValueError("s_avuc requires AvucSpec.temperature")
+    t = soft_uncertainty(summary.norm_entropy, spec.kappa, spec.temperature)
+    w = np.tanh(summary.entropy)
+    a = summary.accuracy.astype(bool)
+    tw = t * w
+    cw = (1.0 - t) * (1.0 - w)
+    counts = AvucCounts(
+        n_ac=float(cw[a].sum()),
+        n_au=float(tw[a].sum()),
+        n_ic=float(cw[~a].sum()),
+        n_iu=float(tw[~a].sum()),
     )
+    return _loss_from(counts), counts, t, w, a
 
 
 def s_avuc(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, AvucCounts]:
     """Soft AvUC: entropy indicator replaced by the smooth uncertainty score."""
-    if spec.temperature is None:
-        raise ValueError("s_avuc requires AvucSpec.temperature")
-    t = soft_uncertainty(summary.norm_entropy, spec.kappa, spec.temperature)
-    counts = s_avuc_counts(t, np.tanh(summary.entropy), summary.accuracy)
-    return _loss_from(counts.numerator, counts.denominator), counts
+    value, counts, _, _, _ = _s_avuc_forward(summary, spec)
+    return value, counts
 
 
 def s_avuc_grad(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, np.ndarray]:
     """S-AvUC value and gradient with respect to the logits, shape (N, K)."""
-    if spec.temperature is None:
-        raise ValueError("s_avuc requires AvucSpec.temperature")
-    h = summary.entropy
-    hstar = summary.norm_entropy
-    a = summary.accuracy.astype(bool)
-    w = np.tanh(h)
+    value, counts, t, w, a = _s_avuc_forward(summary, spec)
     sech2 = 1.0 - w**2
-    log_k = np.log(summary.num_classes)
-
-    t = soft_uncertainty(hstar, spec.kappa, spec.temperature)
-    dt_dh = soft_uncertainty_grad(hstar, spec.kappa, spec.temperature) / log_k
-
-    counts = s_avuc_counts(t, w, summary.accuracy)
+    dt_dh = _soft_uncertainty_slope(summary.norm_entropy, t, spec.temperature) / np.log(summary.num_classes)
     q, d = counts.numerator, counts.denominator
-    value = _loss_from(q, d)
     dl_dq = 1.0 / (q + d)
     dl_dd = 1.0 / (q + d) - 1.0 / d
 

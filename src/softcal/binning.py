@@ -9,6 +9,7 @@ equal-width assignment away from bin boundaries.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,11 @@ import numpy as np
 EQUAL_WIDTH = "equal-width"
 EQUAL_MASS = "equal-mass"
 _SCHEMES = (EQUAL_WIDTH, EQUAL_MASS)
+
+
+def _check_num_bins(num_bins) -> None:
+    if not isinstance(num_bins, numbers.Integral) or isinstance(num_bins, bool) or num_bins < 1:
+        raise ValueError(f"num_bins must be a positive integer, got {num_bins!r}")
 
 
 @dataclass(frozen=True)
@@ -26,8 +32,7 @@ class BinningSpec:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.num_bins < 1:
-            raise ValueError(f"num_bins must be >= 1, got {self.num_bins}")
+        _check_num_bins(self.num_bins)
 
 
 @dataclass(frozen=True)
@@ -38,10 +43,9 @@ class SoftBinningSpec:
     temperature: float = 0.01
 
     def __post_init__(self):
-        if self.num_bins < 1:
-            raise ValueError(f"num_bins must be >= 1, got {self.num_bins}")
+        _check_num_bins(self.num_bins)
         if not np.isfinite(self.temperature) or self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+            raise ValueError(f"bin temperature must be > 0 and finite, got {self.temperature}")
 
     @property
     def centers(self) -> np.ndarray:
@@ -54,13 +58,11 @@ class HardAssignment:
     """Result of a hard binning pass.
 
     bin_index:      per-example bin in [0, M)
-    boundaries:     M + 1 non-decreasing reals spanning [0, 1]
     has_empty_bins: True when some bin received no examples (possible for
                     equal-mass with N < M, or equal-width with sparse data)
     """
 
     bin_index: np.ndarray
-    boundaries: np.ndarray
     has_empty_bins: bool
 
 
@@ -84,7 +86,6 @@ def assign_hard(conf: np.ndarray, spec: BinningSpec) -> HardAssignment:
     n, m = conf.size, spec.num_bins
     if spec.scheme == EQUAL_WIDTH:
         idx = np.minimum((conf * m).astype(np.int64), m - 1)
-        boundaries = np.arange(m + 1, dtype=np.float64) / m
     else:
         order = np.argsort(conf, kind="stable")
         splits = np.ceil(np.arange(1, m) * n / m).astype(np.int64)
@@ -92,23 +93,8 @@ def assign_hard(conf: np.ndarray, spec: BinningSpec) -> HardAssignment:
         ranks = np.empty(n, dtype=np.int64)
         ranks[order] = np.arange(n)
         idx = np.searchsorted(splits, ranks, side="right")
-        csort = conf[order]
-        boundaries = np.empty(m + 1, dtype=np.float64)
-        boundaries[0], boundaries[m] = 0.0, 1.0
-        for j, s in enumerate(splits, start=1):
-            if s <= 0:
-                boundaries[j] = 0.0
-            elif s >= n:
-                boundaries[j] = 1.0
-            else:
-                boundaries[j] = 0.5 * (csort[s - 1] + csort[s])
-        boundaries = np.maximum.accumulate(boundaries)
     sizes = np.bincount(idx, minlength=m)
-    return HardAssignment(
-        bin_index=idx,
-        boundaries=boundaries,
-        has_empty_bins=bool((sizes == 0).any()),
-    )
+    return HardAssignment(bin_index=idx, has_empty_bins=bool((sizes == 0).any()))
 
 
 def soft_membership(conf, spec: SoftBinningSpec) -> np.ndarray:
@@ -130,15 +116,20 @@ def soft_membership(conf, spec: SoftBinningSpec) -> np.ndarray:
 
 
 def soft_membership_grad(conf, spec: SoftBinningSpec) -> np.ndarray:
-    """d membership / d confidence, same shape conventions as soft_membership.
+    """d membership / d confidence, same shape conventions as soft_membership."""
+    scalar = np.isscalar(conf) or np.ndim(conf) == 0
+    c = np.atleast_1d(np.asarray(conf, dtype=np.float64))
+    du = membership_derivative(soft_membership(c, spec).T, c, spec)
+    return du[:, 0] if scalar else du.T
+
+
+def membership_derivative(u: np.ndarray, conf: np.ndarray, spec: SoftBinningSpec) -> np.ndarray:
+    """du_ji / dc_i, bins-major (M, N), from the memberships u = soft_membership(conf).T.
 
     With g_j = -(c - xi_j)^2 / T and u = softmax(g):
     du_j/dc = u_j * (g'_j - sum_k u_k g'_k), g'_j = -2 (c - xi_j) / T.
     """
-    scalar = np.isscalar(conf) or np.ndim(conf) == 0
-    c = np.atleast_1d(np.asarray(conf, dtype=np.float64))
-    u = np.atleast_2d(soft_membership(c, spec))
-    gprime = -2.0 * (c[:, None] - spec.centers[None, :]) / spec.temperature
-    mean_gprime = (u * gprime).sum(axis=1, keepdims=True)
-    du = u * (gprime - mean_gprime)
-    return du[0] if scalar else du
+    gprime = -2.0 * (conf[None, :] - spec.centers[:, None]) / spec.temperature
+    gprime -= (u * gprime).sum(axis=0)
+    gprime *= u
+    return gprime

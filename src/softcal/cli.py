@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: metrics, recalibrate, reliability, train, sweep.
-Exit codes: 0 success, 2 data errors, 64 usage errors, 1 internal errors.
+Exit codes: 0 success, 2 data errors, 3 training diverged, 64 usage errors,
+1 internal errors.
 ECE is a percentage at this layer only; the library works in [0, 1].
 The seed precedence for train/sweep is --seed flag, then the CALREF_SEED
 environment variable, then the config file.
@@ -25,6 +26,7 @@ from .io import (
     DataError,
     RunConfig,
     UsageError,
+    as_arguments,
     load_json,
     load_run_config,
     read_logits_csv,
@@ -34,7 +36,7 @@ from .losses import LossSpec
 from .metrics import check_p, ece, eval_convention_ece, reliability_table, sb_ece
 from .recalibrate import fit_temperature
 from .synthetic import make_synthetic_task
-from .trainer import SWEEP_ORDER, train, sweep_one_at_a_time
+from .trainer import SWEEP_ORDER, TrainingDivergedError, train, sweep_one_at_a_time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,18 +61,7 @@ def _resolve_seed(flag_seed, config_seed: int) -> int:
 
 
 def _make_task(config: RunConfig):
-    d = config.data
-    return make_synthetic_task(
-        d["kind"],
-        d["n"],
-        config.seed,
-        classes=d["classes"],
-        dim=d["dim"],
-        noise=d["noise"],
-        separation=d["separation"],
-        flip_rate=d["flip_rate"],
-        splits=tuple(d["splits"]),
-    )
+    return make_synthetic_task(seed=config.seed, **as_arguments(config.data))
 
 
 @contextmanager
@@ -312,6 +303,9 @@ def main(argv=None) -> int:
     except (DataError, IngestionError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
+    except TrainingDivergedError as err:
+        print(f"training diverged: {err}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         return 1
     except Exception as err:  # pragma: no cover - internal failures

@@ -98,15 +98,6 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def argmax_stable(row: np.ndarray) -> int:
-    """Index of the maximum entry; ties resolve to the lowest index."""
-    row = np.asarray(row)
-    if row.ndim != 1 or row.size == 0:
-        raise ValueError("argmax_stable expects a non-empty 1-d array")
-    # np.argmax already returns the first maximal index.
-    return int(np.argmax(row))
-
-
 def entropy_nats(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy per row in nats; 0 * log(0) treated as 0."""
     return -xlogy(probs, probs).sum(axis=1)

@@ -19,12 +19,13 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, fields, replace
+from inspect import signature
 
 import numpy as np
 
 from .data import EvalSet, IngestionError
 from .losses import LossSpec
-from .synthetic import check_task_args
+from .synthetic import check_task_args, make_synthetic_task
 from .trainer import TrainConfig
 
 
@@ -137,26 +138,20 @@ def write_logits_csv(path: str, eval_set: EvalSet) -> None:
                 handle.write(f"{label},{','.join(map(repr, row))}\n")
 
 
+def _as_json(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+# Every default comes from the dataclass or signature it configures, tuples
+# written as JSON lists; make_synthetic_task has none for kind and n.
 _LOSS_DEFAULTS = {f.name: f.default for f in fields(LossSpec)}
-_DATA_DEFAULTS = {
-    "kind": "gaussian-blobs",
-    "n": 2000,
-    "classes": 2,
-    "dim": 2,
-    "noise": 1.0,
-    "separation": 6.0,
-    "flip_rate": 0.2,
-    "splits": [0.5, 0.25, 0.25],
+_DATA_DEFAULTS = {"kind": "gaussian-blobs", "n": 2000} | {
+    name: _as_json(param.default)
+    for name, param in signature(make_synthetic_task).parameters.items()
+    if param.default is not param.empty
 }
-_MODEL_DEFAULTS = {"hidden": [64, 64]}
-_TRAIN_DEFAULTS = {
-    "learning_rate": 0.1,
-    "epochs": 40,
-    "batch_size": 64,
-    "lr_drop_epochs": [],
-    "lr_drop_factor": 0.1,
-    "eval_bins": 15,
-}
+_TRAIN_DEFAULTS = {f.name: _as_json(f.default) for f in fields(TrainConfig) if f.name not in ("loss", "seed")}
+_MODEL_DEFAULTS = {"hidden": _TRAIN_DEFAULTS.pop("hidden")}
 _TOP_KEYS = ("seed", "data", "model", "train", "loss")
 
 
@@ -174,17 +169,8 @@ class RunConfig:
         return LossSpec(**self.loss)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            loss=self.loss_spec(),
-            hidden=tuple(self.model["hidden"]),
-            learning_rate=self.train["learning_rate"],
-            epochs=self.train["epochs"],
-            batch_size=self.train["batch_size"],
-            seed=self.seed,
-            lr_drop_epochs=tuple(self.train["lr_drop_epochs"]),
-            lr_drop_factor=self.train["lr_drop_factor"],
-            eval_bins=self.train["eval_bins"],
-        )
+        settings = as_arguments({**self.model, **self.train})
+        return TrainConfig(loss=self.loss_spec(), seed=self.seed, **settings)
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=int(seed))
@@ -201,6 +187,11 @@ class RunConfig:
             "train": dict(self.train),
             "loss": dict(self.loss),
         }
+
+
+def as_arguments(section: dict) -> dict:
+    """A config section as keyword arguments: JSON lists become tuples."""
+    return {name: tuple(value) if isinstance(value, list) else value for name, value in section.items()}
 
 
 def _merge_section(name: str, given: dict, defaults: dict) -> dict:
@@ -233,7 +224,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         )
         # Construct the typed objects eagerly so bad values fail at load time.
         cfg.train_config()
-        check_task_args(cfg.data["kind"], cfg.data["n"], cfg.data["classes"], tuple(cfg.data["splits"]))
+        check_task_args(**as_arguments(cfg.data))
     except (TypeError, ValueError) as err:
         raise UsageError(f"invalid config value: {err}") from err
     return cfg

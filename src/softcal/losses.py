@@ -8,6 +8,7 @@ so its gradient is the trainer's job and only its value appears here.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -16,10 +17,14 @@ import numpy as np
 from .avuc import AvucSpec, avuc_grad, s_avuc_grad
 from .binning import SoftBinningSpec
 from .data import EvalSet, PredictionSummary, summarize
-from .metrics import BINNED, LABEL_BINNED, sb_ece_grad
+from .metrics import BINNED, LABEL_BINNED, check_p, sb_ece_grad
 
 PRIMARIES = ("nll", "focal", "mse")
 SECONDARIES = ("none", "sb-ece", "avuc", "avuc-gs", "s-avuc")
+
+
+def _finite_nonnegative(value) -> bool:
+    return isinstance(value, numbers.Real) and 0 <= value < np.inf
 
 
 @dataclass(frozen=True)
@@ -49,20 +54,15 @@ class LossSpec:
             raise ValueError(f"primary must be one of {PRIMARIES}, got {self.primary!r}")
         if self.secondary not in SECONDARIES:
             raise ValueError(f"secondary must be one of {SECONDARIES}, got {self.secondary!r}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.beta < 0 or self.lam < 0:
-            raise ValueError("beta and lam must be >= 0")
+        if not _finite_nonnegative(self.gamma):
+            raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma!r}")
+        if not (_finite_nonnegative(self.beta) and _finite_nonnegative(self.lam)):
+            raise ValueError(f"beta and lam must be >= 0 and finite, got {self.beta!r} and {self.lam!r}")
         if self.mode not in (BINNED, LABEL_BINNED):
             raise ValueError(f"mode must be binned or label-binned, got {self.mode!r}")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins}")
-        if self.bin_temperature <= 0 or self.soft_temperature <= 0:
-            raise ValueError("bin_temperature and soft_temperature must be > 0")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        check_p(self.p)
+        SoftBinningSpec(num_bins=self.bins, temperature=self.bin_temperature)
+        AvucSpec(kappa=self.kappa, temperature=self.soft_temperature)
         if self.secondary == "s-avuc" and not self.kappa < 1:
             # S-AvUC thresholds normalized entropy, which lies in [0, 1].
             raise ValueError(f"kappa must lie in (0, 1) for s-avuc, got {self.kappa}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .binning import BinningSpec, HardAssignment, SoftBinningSpec, assign_hard, soft_membership, soft_membership_grad
+from .binning import BinningSpec, HardAssignment, SoftBinningSpec, assign_hard, membership_derivative, soft_membership
 from .data import PredictionSummary
 
 BINNED = "binned"
@@ -41,10 +41,6 @@ class BinStats:
     size: np.ndarray
     mean_conf: np.ndarray
     mean_acc: np.ndarray
-
-    @property
-    def num_bins(self) -> int:
-        return self.size.shape[0]
 
 
 @dataclass(frozen=True)
@@ -84,11 +80,6 @@ def bin_stats_hard(summary: PredictionSummary, spec: BinningSpec) -> tuple[BinSt
         mean_conf = np.where(size > 0, conf_sum / np.maximum(size, 1.0), np.nan)
         mean_acc = np.where(size > 0, acc_sum / np.maximum(size, 1.0), np.nan)
     return BinStats(size=size, mean_conf=mean_conf, mean_acc=mean_acc), assignment
-
-
-def bin_stats_soft(summary: PredictionSummary, spec: SoftBinningSpec) -> BinStats:
-    """Soft-mass analogue: S_j = sum_i u_ij, means weighted by membership."""
-    return sb_ece_arrays(summary.confidence, summary.accuracy, spec, mode=BINNED).bin_stats
 
 
 def ece(
@@ -140,6 +131,23 @@ def sb_ece_arrays(
     """sb_ece on per-example confidence and 0/1 accuracy arrays."""
     p = check_p(p)
     mode = _check_mode(mode)
+    r, _, stats = _sb_ece_forward(confidence, accuracy, spec, p, mode)
+    return EceReport(
+        value=float(r ** (1.0 / p)),
+        p=p,
+        mode=mode,
+        num_bins=spec.num_bins,
+        scheme="soft-equal-width",
+        n=confidence.shape[0],
+        bin_stats=stats,
+    )
+
+
+def _sb_ece_forward(
+    confidence: np.ndarray, accuracy: np.ndarray, spec: SoftBinningSpec, p: float, mode: str
+) -> tuple[float, np.ndarray, BinStats]:
+    """SB-ECE to the power p, the bins-major (M, N) memberships u and the
+    soft bin statistics: the forward half shared by value and gradient."""
     u = soft_membership(confidence, spec).T  # (M, N)
     s = u.sum(axis=1)
     sf = np.maximum(s, _MASS_FLOOR)
@@ -157,15 +165,7 @@ def sb_ece_arrays(
         d **= p
         d *= u
         r = d.sum() / n
-    return EceReport(
-        value=float(r ** (1.0 / p)),
-        p=p,
-        mode=mode,
-        num_bins=spec.num_bins,
-        scheme="soft-equal-width",
-        n=n,
-        bin_stats=stats,
-    )
+    return r, u, stats
 
 
 def _pow_grad(gap_signed: np.ndarray, p: float) -> np.ndarray:
@@ -189,34 +189,28 @@ def sb_ece_confidence_grad(
     c = summary.confidence
     a = summary.accuracy
     n = summary.n
-    u = soft_membership(c, spec)            # (N, M)
-    du = soft_membership_grad(c, spec)      # (N, M), d u_ij / d c_i
-    s = u.sum(axis=0)
-    sf = np.maximum(s, _MASS_FLOOR)
-    acc_mean = (u * a[:, None]).sum(axis=0) / sf
-
-    if mode == LABEL_BINNED:
-        gap = acc_mean[None, :] - c[:, None]             # (N, M)
-        d = np.abs(gap) ** p
-        r = (u * d).sum() / n
-        e = _pow_grad(gap, p)                            # dD/dA = -dD/dc
-        g_bin = (u * e).sum(axis=0)                      # (M,)
-        dmean_acc = du * (a[:, None] - acc_mean[None, :]) / sf[None, :]
-        dr_dc = ((du * d).sum(axis=1) - (u * e).sum(axis=1) + (dmean_acc * g_bin[None, :]).sum(axis=1)) / n
-    else:
-        conf_mean = (u * c[:, None]).sum(axis=0) / sf
-        gap = acc_mean - conf_mean                       # (M,)
-        d = np.abs(gap) ** p
-        r = ((s / n) * d).sum()
-        e = _pow_grad(gap, p)
-        dmean_acc = du * (a[:, None] - acc_mean[None, :]) / sf[None, :]
-        dmean_conf = (du * (c[:, None] - conf_mean[None, :]) + u) / sf[None, :]
-        dr_dc = (du * d[None, :] + (s * e)[None, :] * (dmean_acc - dmean_conf)).sum(axis=1) / n
-
+    r, u, stats = _sb_ece_forward(c, a, spec, p, mode)
     value = r ** (1.0 / p)
     if r <= 0.0:
         # Perfectly calibrated: the objective sits at its minimum of 0.
         return float(value), np.zeros_like(c)
+
+    # Bins-major (M, N) throughout: row j is bin j, column i example i.
+    du = membership_derivative(u, c, spec)
+    s, acc_mean = stats.size[:, None], stats.mean_acc[:, None]
+    sf = np.maximum(s, _MASS_FLOOR)
+    dmean_acc = du * (a - acc_mean) / sf
+    if mode == LABEL_BINNED:
+        gap = acc_mean - c
+        ue = u * _pow_grad(gap, p)                       # dD/dA = -dD/dc
+        g_bin = ue.sum(axis=1, keepdims=True)
+        dr_dc = (du * np.abs(gap) ** p - ue + dmean_acc * g_bin).sum(axis=0) / n
+    else:
+        conf_mean = stats.mean_conf[:, None]
+        gap = acc_mean - conf_mean                       # (M, 1)
+        dmean_conf = (du * (c - conf_mean) + u) / sf
+        dr_dc = (du * np.abs(gap) ** p + s * _pow_grad(gap, p) * (dmean_acc - dmean_conf)).sum(axis=0) / n
+
     dvalue_dr = (1.0 / p) * r ** (1.0 / p - 1.0)
     return float(value), dvalue_dr * dr_dc
 

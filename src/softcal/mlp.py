@@ -71,12 +71,6 @@ class MlpModel:
         """Sum of squared weights; biases are excluded from L2 on purpose."""
         return float(sum((w**2).sum() for w in self.weights))
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
     def get_params(self) -> np.ndarray:
         """Flat parameter vector (for finite-difference checks)."""
         return np.concatenate([a.ravel() for a in self.weights + self.biases])

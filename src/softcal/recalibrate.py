@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .binning import SoftBinningSpec
-from .data import EvalSet, PredictionSummary, summarize
+from .data import EvalSet, summarize
 from .metrics import LABEL_BINNED, eval_convention_ece, sb_ece_arrays
 
 OBJECTIVES = ("nll", "sb-ece")
@@ -59,11 +59,6 @@ class TemperatureFit:
         """t* lies within REFINE_TOL of T_MIN or T_MAX, so the objective's
         minimum may lie outside the searched range."""
         return min(self.t_star - T_MIN, T_MAX - self.t_star) <= REFINE_TOL
-
-
-def apply_temperature(eval_set: EvalSet, temperature: float) -> PredictionSummary:
-    """Summary of the set with logits divided by the given temperature."""
-    return summarize(eval_set, temperature)
 
 
 def brent_minimize(
@@ -170,7 +165,7 @@ def fit_temperature(
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if sb_spec is None:
-        sb_spec = SoftBinningSpec(num_bins=15, temperature=0.01)
+        sb_spec = SoftBinningSpec()
     fn = _objective_fn(val_set, objective, sb_spec, p, mode)
 
     grid = np.exp(np.linspace(np.log(T_MIN), np.log(T_MAX), GRID_POINTS))

@@ -46,8 +46,9 @@ class TrainConfig:
     eval_bins: int = 15
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name, value in (("learning_rate", self.learning_rate), ("lr_drop_factor", self.lr_drop_factor)):
+            if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size),
                             ("eval_bins", self.eval_bins),
                             *(("hidden width", width) for width in self.hidden)):
@@ -124,8 +125,8 @@ def train(
     rng = np.random.default_rng(config.seed)
     layer_sizes = [x_train.shape[1], *config.hidden, num_classes]
     model = MlpModel.init(layer_sizes, rng)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases
+    velocity = [np.zeros_like(param) for param in params]
 
     n = x_train.shape[0]
     report = TrainReport([], [], [], 0, 0.0, 0.0)
@@ -146,11 +147,10 @@ def train(
                 ) from err
             if not np.isfinite(lvg.value):
                 raise TrainingDivergedError(f"loss became {lvg.value} at epoch {epoch}")
-            for l in range(model.num_layers):
-                vel_w[l] = MOMENTUM * vel_w[l] - lr * grads_w[l]
-                vel_b[l] = MOMENTUM * vel_b[l] - lr * grads_b[l]
-                model.weights[l] += vel_w[l]
-                model.biases[l] += vel_b[l]
+            for param, vel, grad in zip(params, velocity, grads_w + grads_b):
+                vel *= MOMENTUM
+                vel -= lr * grad
+                param += vel
             batch_losses.append(lvg.value)
 
         model.forward(x_val, out=val_out)

@@ -23,7 +23,6 @@ from softcal import (
     LossSpec,
     SoftBinningSpec,
     TrainConfig,
-    apply_temperature,
     avuc_grad,
     composite_loss,
     ece,
@@ -259,8 +258,8 @@ def test_06_sb_ece_objective_beats_nll_objective(criterion_log):
         val, test = make_split(rng), make_split(rng)
         t_nll = fit_temperature(val, objective="nll").t_star
         t_sb = fit_temperature(val, objective="sb-ece").t_star
-        e_nll = eval_convention_ece(apply_temperature(test, t_nll))
-        e_sb = eval_convention_ece(apply_temperature(test, t_sb))
+        e_nll = eval_convention_ece(summarize(test, t_nll))
+        e_sb = eval_convention_ece(summarize(test, t_sb))
         wins += e_sb <= e_nll + 0.002
         gains.append(e_nll - e_sb)
     elapsed = time.time() - t0

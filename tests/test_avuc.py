@@ -110,6 +110,18 @@ def test_avuc_gs_gradient_matches_frozen_confidence_oracle():
     assert worst <= 1e-4, worst
 
 
+def test_value_and_gradient_apis_share_one_forward():
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        z, y, kappa = avuc_batch(rng)
+        s = summarize(EvalSet(z, y))
+        for stopped in (False, True):
+            spec = AvucSpec(kappa=kappa, gradient_stopping=stopped)
+            assert avuc(s, spec)[0] == avuc_grad(s, spec)[0]
+        spec = AvucSpec(kappa=float(rng.uniform(0.1, 0.9)), temperature=float(10 ** rng.uniform(-1.0, 0.5)))
+        assert s_avuc(s, spec)[0] == s_avuc_grad(s, spec)[0]
+
+
 def test_soft_uncertainty_frozen_value():
     # kappa=0.25, T=0.5, h*=0.75: logit gap is 2 ln 3, scaled by 2 -> 81/82
     assert soft_uncertainty(0.75, 0.25, 0.5) == pytest.approx(81.0 / 82.0, abs=1e-15)

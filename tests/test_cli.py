@@ -368,6 +368,21 @@ def test_non_integer_or_non_positive_sizes_exit_64_before_training(capsys, tmp_p
         {"data": {"splits": [1, 0, 0]}},
         {"data": {"splits": [1]}},
         {"data": {"classes": 1}},
+        {"data": {"dim": 1}},
+        {"data": {"dim": 2.5}},
+        {"data": {"noise": "x"}},
+        {"data": {"noise": float("nan")}},
+        {"data": {"separation": -1.0}},
+        {"data": {"flip_rate": 1.5}},
+        {"loss": {"p": float("inf")}},
+        {"loss": {"bin_temperature": float("nan")}},
+        {"loss": {"secondary": "sb-ece", "beta": 1.0, "bins": 2.5}},
+        {"loss": {"secondary": "avuc", "beta": 1.0, "kappa": float("nan")}},
+        {"loss": {"secondary": "avuc", "beta": float("nan")}},
+        {"loss": {"primary": "focal", "gamma": float("nan")}},
+        {"loss": {"lam": float("nan")}},
+        {"train": {"learning_rate": float("nan")}},
+        {"train": {"lr_drop_factor": "x"}},
     ],
 )
 def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_path, section):
@@ -384,6 +399,18 @@ def test_unwritable_out_dir_is_an_internal_error(capsys, train_config, tmp_path)
     blocker.write_text("x")
     code, _, err = run_cli(capsys, "train", "--config", train_config, "--out", str(blocker))
     assert code == 1 and err.startswith("internal error:")
+
+
+def test_a_diverging_run_exits_3(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "data": {"n": 128, "splits": [0.25, 0.375, 0.375]},  # 32 training rows
+        "model": {"hidden": [8]},
+        "train": {"epochs": 2, "batch_size": 32, "learning_rate": 1e300},
+    }))
+    code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o"))
+    # numpy's overflow warnings may come first
+    assert code == 3 and out == "" and err.splitlines()[-1].startswith("training diverged:")
 
 
 def test_metrics_reads_logits_from_a_pipe(four_row_csv):

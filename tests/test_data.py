@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from softcal import EvalSet, IngestionError, summarize
-from softcal.data import argmax_stable, entropy_nats, softmax_rows
+from softcal.data import entropy_nats, softmax_rows
 
 
 def test_eval_set_validates_shapes_and_values():
@@ -56,11 +56,6 @@ def test_softmax_matches_reference_on_random_rows():
     np.testing.assert_allclose(
         softmax_rows(z), np.asarray(oracles.softmax_ld(z), dtype=np.float64), rtol=1e-14
     )
-
-
-def test_argmax_ties_break_low():
-    assert argmax_stable(np.array([1.0, 1.0, 0.5])) == 0
-    assert argmax_stable(np.array([0.2, 0.9, 0.9])) == 1
 
 
 def test_entropy_uniform_and_onehot():

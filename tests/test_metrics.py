@@ -176,6 +176,16 @@ def test_sb_ece_gradient_small_sweep():
         assert worst <= 1e-6, f"{mode}: {worst}"
 
 
+@pytest.mark.parametrize("mode", [LABEL_BINNED, BINNED])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_value_and_gradient_apis_share_one_forward(mode, p):
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        s = summarize(EvalSet(*random_batch(rng, n_hi=64)))
+        spec = SoftBinningSpec(num_bins=int(rng.integers(1, 16)), temperature=float(10 ** rng.uniform(-2.5, -0.5)))
+        assert sb_ece(s, spec, p=p, mode=mode).value == sb_ece_grad(s, spec, p=p, mode=mode)[0]
+
+
 def test_eval_convention_is_equal_mass_l2_binned():
     rng = np.random.default_rng(11)
     z, y = random_batch(rng, n_lo=64, n_hi=64, scale=2.0)

@@ -12,7 +12,6 @@ import softcal
 from softcal import (
     EvalSet,
     SoftBinningSpec,
-    apply_temperature,
     eval_convention_ece,
     fit_temperature,
     nll,
@@ -47,9 +46,9 @@ def mixed_scale_set(rng, n=5000, k=4, spread=1.5, scales=(1.5, 5.0)):
 def test_apply_temperature_preserves_accuracy():
     rng = np.random.default_rng(30)
     es = scaled_posterior_set(rng, 500, 5, 2.0)
-    base = apply_temperature(es, 1.0).accuracy
+    base = summarize(es, 1.0).accuracy
     for t in (0.1, 0.5, 3.0, 9.0):
-        np.testing.assert_array_equal(apply_temperature(es, t).accuracy, base)
+        np.testing.assert_array_equal(summarize(es, t).accuracy, base)
 
 
 def test_brent_on_convex_scalar():
@@ -140,8 +139,8 @@ def test_fit_reports_eval_convention_eces():
     rng = np.random.default_rng(33)
     es = scaled_posterior_set(rng, 2000, 4, 2.5)
     fit = fit_temperature(es, objective="nll")
-    assert fit.ece_before == eval_convention_ece(apply_temperature(es, 1.0))
-    assert fit.ece_after == eval_convention_ece(apply_temperature(es, fit.t_star))
+    assert fit.ece_before == eval_convention_ece(summarize(es, 1.0))
+    assert fit.ece_after == eval_convention_ece(summarize(es, fit.t_star))
     assert fit.ece_after < fit.ece_before  # overconfident input, so TS helps
 
 

@@ -1,5 +1,6 @@
 """Trainer and MLP: gradients, the momentum update, determinism, the sweep."""
 
+import copy
 import sys
 
 import numpy as np
@@ -109,7 +110,7 @@ def test_parameter_gradients_match_finite_differences():
         raise AssertionError("no well-conditioned batch found")
 
     def loss_of(flat):
-        m = model.copy()
+        m = copy.deepcopy(model)
         m.set_params(np.asarray(flat, dtype=np.float64))
         return forward_backward(m, x, y, spec)[0].value
 
