@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import PredictionSummary
 from .metrics import confidence_logit_jacobian, entropy_logit_jacobian
@@ -81,6 +80,7 @@ def soft_uncertainty(hstar, kappa: float, temperature: float):
     [1e-7, 1 - 1e-7].  t(kappa) = 0.5 for every temperature, and
     kappa = 0.5, T = 1 gives the identity t(h*) = h*.
     """
+    from scipy.special import expit  # scipy loads only for the AvUC family
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
     if not np.isfinite(temperature) or temperature <= 0:

@@ -9,9 +9,9 @@ argmax ties broken toward the lowest class index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
 
 class IngestionError(ValueError):
@@ -67,19 +67,32 @@ class PredictionSummary:
     confidence:   max probability per row
     predicted:    argmax class (ties -> lowest index)
     accuracy:     1.0 where predicted == label else 0.0
-    entropy:      Shannon entropy in nats
-    norm_entropy: entropy / ln(K), in [0, 1]
     temperature:  the temperature the logits were divided by; gradients taken
                   with respect to the raw logits must chain through 1/temperature
+    entropy:      Shannon entropy in nats, computed from probs on first read
+    norm_entropy: entropy / ln(K), in [0, 1], computed on first read
     """
 
     probs: np.ndarray
     confidence: np.ndarray
     predicted: np.ndarray
     accuracy: np.ndarray
-    entropy: np.ndarray
-    norm_entropy: np.ndarray
     temperature: float
+
+    @classmethod
+    def with_entropy(cls, entropy: np.ndarray, **fields) -> PredictionSummary:
+        """A summary whose entropy is given rather than computed from probs."""
+        summary = cls(**fields)
+        summary.__dict__["entropy"] = np.asarray(entropy, dtype=np.float64)
+        return summary
+
+    @cached_property
+    def entropy(self) -> np.ndarray:
+        return entropy_nats(self.probs)
+
+    @cached_property
+    def norm_entropy(self) -> np.ndarray:
+        return self.entropy / np.log(self.num_classes)
 
     @property
     def n(self) -> int:
@@ -90,16 +103,21 @@ class PredictionSummary:
         return self.probs.shape[1]
 
 
+def _softmax_in_place(z: np.ndarray) -> np.ndarray:
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction. Shift-invariant by construction."""
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_in_place(np.array(z, dtype=np.float64))
 
 
 def entropy_nats(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy per row in nats; 0 * log(0) treated as 0."""
+    from scipy.special import xlogy  # scipy loads only when entropy is read
     return -xlogy(probs, probs).sum(axis=1)
 
 
@@ -109,20 +127,18 @@ def summarize(eval_set: EvalSet, temperature: float = 1.0) -> PredictionSummary:
     Temperature t divides the logits before the softmax, so summarize(s, t)
     is bit-identical to summarize on pre-divided logits at t = 1.
     """
+    return summarize_arrays(eval_set.logits, eval_set.labels, temperature)
+
+
+def summarize_arrays(logits: np.ndarray, labels: np.ndarray, temperature: float = 1.0) -> PredictionSummary:
+    """summarize on a finite float64 N x K logit matrix and N labels in [0, K)
+    that the caller has checked, without an EvalSet.  The softmax runs in
+    place in the one new array logits / temperature; logits is never written."""
     if not np.isfinite(temperature) or temperature <= 0:
         raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-    z = eval_set.logits / temperature
-    probs = softmax_rows(z)
+    probs = _softmax_in_place(logits / temperature)
     predicted = np.argmax(probs, axis=1)
-    confidence = probs[np.arange(eval_set.n), predicted]
-    accuracy = (predicted == eval_set.labels).astype(np.float64)
-    h = entropy_nats(probs)
-    return PredictionSummary(
-        probs=probs,
-        confidence=confidence,
-        predicted=predicted,
-        accuracy=accuracy,
-        entropy=h,
-        norm_entropy=h / np.log(eval_set.num_classes),
-        temperature=float(temperature),
-    )
+    confidence = probs[np.arange(probs.shape[0]), predicted]
+    accuracy = (predicted == labels).astype(np.float64)
+    return PredictionSummary(probs=probs, confidence=confidence, predicted=predicted,
+                             accuracy=accuracy, temperature=float(temperature))

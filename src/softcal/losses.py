@@ -16,7 +16,7 @@ import numpy as np
 
 from .avuc import AvucSpec, avuc_grad, s_avuc_grad
 from .binning import SoftBinningSpec
-from .data import EvalSet, PredictionSummary, summarize
+from .data import EvalSet, PredictionSummary, summarize_arrays
 from .metrics import BINNED, LABEL_BINNED, check_p, sb_ece_grad
 
 PRIMARIES = ("nll", "focal", "mse")
@@ -176,9 +176,19 @@ def composite_loss(
     """Primary + beta * secondary + lam * ||W||^2 at temperature 1.
 
     grad_logits covers the primary and secondary terms; the L2 gradient is
-    parameter-space and is added by the trainer.
+    parameter-space and is added by the trainer.  Logits or labels that an
+    EvalSet refuses raise IngestionError.
     """
-    summary = summarize(EvalSet(logits, labels))
+    eval_set = EvalSet(logits, labels)
+    return composite_loss_arrays(eval_set.logits, eval_set.labels, spec, weight_sq_norm)
+
+
+def composite_loss_arrays(
+    logits: np.ndarray, labels: np.ndarray, spec: LossSpec, weight_sq_norm: float = 0.0
+) -> LossValueGrad:
+    """composite_loss on logits and labels checked as summarize_arrays
+    requires; the trainer's batches take this path."""
+    summary = summarize_arrays(logits, labels)
     pv, pg = primary_loss(summary, labels, spec)
     if spec.secondary != "none" and spec.beta != 0.0:
         sv, sg = secondary_loss(summary, spec)

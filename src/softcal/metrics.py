@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .binning import BinningSpec, HardAssignment, SoftBinningSpec, assign_hard, membership_derivative, soft_membership
 from .data import PredictionSummary
@@ -230,6 +229,7 @@ def confidence_logit_jacobian(summary: PredictionSummary) -> np.ndarray:
 
 def entropy_logit_jacobian(summary: PredictionSummary) -> np.ndarray:
     """d h_i / d logits_ik = -(p_ik h_i + p_ik ln p_ik) / t."""
+    from scipy.special import xlogy  # scipy loads only for the AvUC family
     probs = summary.probs
     return -(probs * summary.entropy[:, None] + xlogy(probs, probs)) / summary.temperature
 

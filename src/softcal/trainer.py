@@ -20,7 +20,7 @@ import numpy as np
 
 from .avuc import DegenerateBatchError
 from .data import EvalSet, IngestionError, summarize
-from .losses import LossSpec, LossValueGrad, composite_loss
+from .losses import LossSpec, LossValueGrad, composite_loss_arrays
 from .metrics import eval_convention_ece
 from .mlp import MlpModel
 
@@ -83,10 +83,13 @@ def forward_backward(
     model: MlpModel, x: np.ndarray, y: np.ndarray, spec: LossSpec
 ) -> tuple[LossValueGrad, list, list]:
     """Composite loss on one batch plus parameter gradients (L2 included;
-    with lam == 0 the weight norm is skipped and l2_value reads 0.0)."""
+    with lam == 0 the weight norm is skipped and l2_value reads 0.0).  y holds
+    checked labels; non-finite logits raise TrainingDivergedError."""
     logits, activations = model.forward(x)
+    if not np.isfinite(logits).all():
+        raise TrainingDivergedError("non-finite logits")
     sq_norm = model.weight_sq_norm() if spec.lam != 0.0 else 0.0
-    lvg = composite_loss(logits, y, spec, weight_sq_norm=sq_norm)
+    lvg = composite_loss_arrays(logits, y, spec, weight_sq_norm=sq_norm)
     grads_w, grads_b = model.backward(activations, lvg.grad_logits)
     if spec.lam != 0.0:
         grads_w = [gw + 2.0 * spec.lam * w for gw, w in zip(grads_w, model.weights)]
@@ -106,19 +109,23 @@ def train(
 ) -> tuple[MlpModel, TrainReport]:
     """SGD with momentum on the composite loss; fully seeded and deterministic.
 
-    Malformed validation data raises IngestionError before the first epoch;
-    non-finite logits or loss raise TrainingDivergedError naming the epoch.
+    Malformed training or validation data raises IngestionError before the
+    first epoch; non-finite logits or loss raise TrainingDivergedError naming
+    the epoch.
     """
     x_train, y_train = np.asarray(train_xy[0], dtype=np.float64), np.asarray(train_xy[1])
     x_val, y_val = np.asarray(val_xy[0], dtype=np.float64), np.asarray(val_xy[1])
     if num_classes is None:
         num_classes = int(max(y_train.max(), y_val.max())) + 1
 
-    if x_val.ndim != 2 or not np.isfinite(x_val).all():
-        raise IngestionError(f"validation features must be finite and 2-d, got shape {x_val.shape}")
-    # The labels pass the EvalSet rules once, here.  Every epoch's forward
-    # writes its logits into val_set.logits, the last of the buffers in
-    # val_out, so the validation pass allocates no per-epoch arrays.
+    for name, x in (("training", x_train), ("validation", x_val)):
+        if x.ndim != 2 or not np.isfinite(x).all():
+            raise IngestionError(f"{name} features must be finite and 2-d, got shape {x.shape}")
+    # Both label sets pass the EvalSet rules once, here, so the batches skip
+    # them.  Every epoch's forward writes its logits into val_set.logits, the
+    # last of the buffers in val_out, so the validation pass allocates no
+    # per-epoch arrays.
+    y_train = EvalSet(np.zeros((x_train.shape[0], num_classes)), y_train).labels
     val_set = EvalSet(np.zeros((x_val.shape[0], num_classes)), y_val)
     val_out = [np.empty((x_val.shape[0], width)) for width in config.hidden] + [val_set.logits]
 
@@ -130,36 +137,37 @@ def train(
 
     n = x_train.shape[0]
     report = TrainReport([], [], [], 0, 0.0, 0.0)
-    for epoch in range(config.epochs):
-        lr = _epoch_lr(config, epoch)
-        perm = rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            try:
-                lvg, grads_w, grads_b = forward_backward(model, x_train[idx], y_train[idx], config.loss)
-            except DegenerateBatchError:
-                report.skipped_batches += 1
-                continue
-            except IngestionError as err:
-                raise TrainingDivergedError(
-                    f"non-finite logits at epoch {epoch}: {err}"
-                ) from err
-            if not np.isfinite(lvg.value):
-                raise TrainingDivergedError(f"loss became {lvg.value} at epoch {epoch}")
-            for param, vel, grad in zip(params, velocity, grads_w + grads_b):
-                vel *= MOMENTUM
-                vel -= lr * grad
-                param += vel
-            batch_losses.append(lvg.value)
+    # A diverging run overflows on its way to the isfinite checks below;
+    # those checks, not numpy's warnings, report it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            lr = _epoch_lr(config, epoch)
+            perm = rng.permutation(n)
+            batch_losses = []
+            for start in range(0, n, config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                try:
+                    lvg, grads_w, grads_b = forward_backward(model, x_train[idx], y_train[idx], config.loss)
+                except DegenerateBatchError:
+                    report.skipped_batches += 1
+                    continue
+                except TrainingDivergedError as err:
+                    raise TrainingDivergedError(f"{err} at epoch {epoch}") from None
+                if not np.isfinite(lvg.value):
+                    raise TrainingDivergedError(f"loss became {lvg.value} at epoch {epoch}")
+                for param, vel, grad in zip(params, velocity, grads_w + grads_b):
+                    vel *= MOMENTUM
+                    vel -= lr * grad
+                    param += vel
+                batch_losses.append(lvg.value)
 
-        model.forward(x_val, out=val_out)
-        if not np.isfinite(val_set.logits).all():
-            raise TrainingDivergedError(f"non-finite validation logits at epoch {epoch}")
-        val_summary = summarize(val_set)
-        report.train_loss.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
-        report.val_accuracy.append(float(val_summary.accuracy.mean()))
-        report.val_ece.append(eval_convention_ece(val_summary, config.eval_bins))
+            model.forward(x_val, out=val_out)
+            if not np.isfinite(val_set.logits).all():
+                raise TrainingDivergedError(f"non-finite validation logits at epoch {epoch}")
+            val_summary = summarize(val_set)
+            report.train_loss.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
+            report.val_accuracy.append(float(val_summary.accuracy.mean()))
+            report.val_ece.append(eval_convention_ece(val_summary, config.eval_bins))
 
     report.final_val_accuracy = report.val_accuracy[-1]
     report.final_val_ece = report.val_ece[-1]

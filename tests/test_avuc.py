@@ -24,13 +24,12 @@ def raw_summary(conf, entropy, acc, k=2):
     softmax row can realize; probs/predicted are placeholders."""
     conf = np.asarray(conf, dtype=np.float64)
     n = conf.shape[0]
-    return PredictionSummary(
+    return PredictionSummary.with_entropy(
+        entropy,
         probs=np.full((n, k), 1.0 / k),
         confidence=conf,
         predicted=np.zeros(n, dtype=np.int64),
         accuracy=np.asarray(acc, dtype=np.float64),
-        entropy=np.asarray(entropy, dtype=np.float64),
-        norm_entropy=np.asarray(entropy, dtype=np.float64) / np.log(k),
         temperature=1.0,
     )
 

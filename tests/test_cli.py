@@ -409,8 +409,55 @@ def test_a_diverging_run_exits_3(capsys, tmp_path):
         "train": {"epochs": 2, "batch_size": 32, "learning_rate": 1e300},
     }))
     code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o"))
-    # numpy's overflow warnings may come first
-    assert code == 3 and out == "" and err.splitlines()[-1].startswith("training diverged:")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("training diverged:")
+
+
+def softcal_subprocess(*argv, code="sys.exit(main(sys.argv[1:]))"):
+    """Run `code` in a fresh interpreter with softcal.cli.main imported and
+    argv as sys.argv[1:]."""
+    src = str(Path(softcal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("CALREF_SEED", None)
+    script = f"import sys\nfrom softcal.cli import main\n{code}"
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_a_diverging_run_writes_one_stderr_line_in_a_fresh_process(tmp_path):
+    # In a fresh interpreter numpy's overflow warnings would reach stderr;
+    # the trainer silences them and reports the divergence on one line.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "data": {"n": 128, "splits": [0.25, 0.375, 0.375]},
+        "model": {"hidden": [8]},
+        "train": {"epochs": 2, "batch_size": 32, "learning_rate": 1e300},
+    }))
+    proc = softcal_subprocess("train", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("training diverged:")
+
+
+def test_only_commands_that_read_entropy_load_scipy(tmp_path, four_row_csv):
+    # scipy.special costs about a quarter second of start-up; it is needed
+    # only for entropy (metrics prints mean_entropy) and the AvUC family.
+    base = {"seed": 2, "data": {"n": 200}, "model": {"hidden": [4]}, "train": {"epochs": 1}}
+    configs = {}
+    for name, loss in (("nll", {}), ("sb-ece", {"secondary": "sb-ece", "beta": 1.0})):
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps({**base, "loss": loss}))
+    commands = {
+        "train nll": (["train", "--config", str(configs["nll"]), "--out", str(tmp_path / "a")], False),
+        "train sb-ece": (["train", "--config", str(configs["sb-ece"]), "--out", str(tmp_path / "b")], False),
+        "recalibrate": (["recalibrate", "--val-logits", four_row_csv, "--test-logits", four_row_csv], False),
+        "reliability": (["reliability", "--logits", four_row_csv], False),
+        "metrics": (["metrics", "--logits", four_row_csv], True),
+    }
+    report = "code = main(sys.argv[1:]); print('scipy' in sys.modules); sys.exit(code)"
+    for name, (argv, loads_scipy) in commands.items():
+        proc = softcal_subprocess(*argv, code=report)
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout.splitlines()[-1] == str(loads_scipy), name
 
 
 def test_metrics_reads_logits_from_a_pipe(four_row_csv):

@@ -106,3 +106,22 @@ def test_summarize_rejects_bad_temperature():
     for t in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises((ValueError, IngestionError)):
             summarize(s, temperature=t)
+
+
+def test_summarize_never_writes_the_callers_logits():
+    rng = np.random.default_rng(4)
+    es = EvalSet(rng.normal(0, 3, size=(50, 6)), rng.integers(0, 6, size=50))
+    before = es.logits.tobytes()
+    for t in (1.0, 0.4):
+        summarize(es, t)
+        assert es.logits.tobytes() == before
+
+
+def test_entropy_is_computed_on_first_read_and_cached():
+    rng = np.random.default_rng(5)
+    s = summarize(EvalSet(rng.normal(0, 2, size=(30, 4)), rng.integers(0, 4, size=30)), 0.7)
+    assert "entropy" not in vars(s)
+    first = s.entropy
+    np.testing.assert_array_equal(first, entropy_nats(s.probs))
+    assert s.entropy is first
+    np.testing.assert_array_equal(s.norm_entropy, first / np.log(4))

@@ -20,6 +20,7 @@ from softcal import (
     sweep_one_at_a_time,
     train,
 )
+import softcal.trainer as trainer_module
 from softcal.data import EvalSet
 from softcal.metrics import eval_convention_ece
 
@@ -271,6 +272,25 @@ def test_bad_validation_data_is_an_ingestion_error():
     for x_val, y_val in ((x_nan, task.y_val), (task.x_val, task.y_val + 5)):
         with pytest.raises(IngestionError):
             train((task.x_train, task.y_train), (x_val, y_val), cfg, num_classes=2)
+
+
+@pytest.mark.parametrize("fault", ["label out of range", "non-integer label", "nan feature"])
+def test_bad_training_data_is_an_ingestion_error_before_the_first_epoch(fault, monkeypatch):
+    task = make_synthetic_task("gaussian-blobs", 300, seed=11)
+    x, y = task.x_train.copy(), task.y_train.astype(np.float64)
+    if fault == "label out of range":
+        y[5] = 2
+    elif fault == "non-integer label":
+        y[5] = 0.5
+    else:
+        x[3, 0] = np.nan
+
+    def no_batches(*args):
+        raise AssertionError("a batch ran on unchecked training data")
+
+    monkeypatch.setattr(trainer_module, "forward_backward", no_batches)
+    with pytest.raises(IngestionError):
+        train((x, y), (task.x_val, task.y_val), TrainConfig(hidden=(8,), epochs=1), num_classes=2)
 
 
 def test_config_validation():
