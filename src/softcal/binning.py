@@ -1,10 +1,10 @@
 """Hard and soft binning of confidence values on [0, 1].
 
 Hard schemes: equal-width (boundaries j/M, last bin closed on the right) and
-equal-mass (stable sort by confidence, split at ceil(i*N/M)).  The soft
-scheme is a temperature-controlled softmax over squared distances to fixed
-equal-width bin centers; as the temperature goes to 0 it recovers the hard
-equal-width assignment away from bin boundaries.
+equal-mass (order by confidence, ties by index, split at ceil(i*N/M)).  The
+soft scheme is a temperature-controlled softmax over squared distances to
+fixed equal-width bin centers; as the temperature goes to 0 it recovers the
+hard equal-width assignment away from bin boundaries.
 """
 
 from __future__ import annotations
@@ -79,34 +79,52 @@ def assign_hard(conf: np.ndarray, spec: BinningSpec) -> HardAssignment:
     """Assign each confidence to one of M bins.
 
     Equal-width: bins [j/M, (j+1)/M), the last bin closed at 1.
-    Equal-mass:  stable sort by (confidence, original index), split the sorted
-                 order at positions ceil(i*N/M); bin sizes differ by at most 1.
+    Equal-mass:  order by (confidence, original index), so equal values
+                 (0.0 and -0.0 among them) keep their input order, and split
+                 the order at positions ceil(i*N/M); bin sizes differ by at
+                 most 1.  The order comes from numpy's default sort, plus one
+                 sort of the unique keys (run of equal values, index) when
+                 neighbours tie.  Each bin's slice of the order is written
+                 directly, so no N-long rank or bin array is built.
     """
     conf = _check_confidences(conf)
     n, m = conf.size, spec.num_bins
     if spec.scheme == EQUAL_WIDTH:
         idx = np.minimum((conf * m).astype(np.int64), m - 1)
     else:
-        order = np.argsort(conf, kind="stable")
-        splits = np.ceil(np.arange(1, m) * n / m).astype(np.int64)
-        # Sorted rank r lands in bin sum(splits <= r), the ceil-split rule.
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[order] = np.arange(n)
-        idx = np.searchsorted(splits, ranks, side="right")
+        order = np.argsort(conf)
+        sorted_conf = conf[order]
+        if (sorted_conf[1:] == sorted_conf[:-1]).any():
+            # Re-order by the unique key (run of equal values, index).
+            key = np.concatenate(([0], np.cumsum(sorted_conf[1:] != sorted_conf[:-1])))
+            key *= n
+            key += order
+            order = order[np.argsort(key)]
+            del key
+        del sorted_conf  # before idx, so the two are never live together
+        idx = np.empty(n, dtype=np.int64)
+        bounds = -(-np.arange(m + 1) * n // m)  # ceil(j*N/M)
+        for j in range(m):
+            idx[order[bounds[j]:bounds[j + 1]]] = j
     sizes = np.bincount(idx, minlength=m)
     return HardAssignment(bin_index=idx, has_empty_bins=bool((sizes == 0).any()))
 
 
-def soft_membership(conf, spec: SoftBinningSpec) -> np.ndarray:
+def soft_membership(conf, spec: SoftBinningSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Soft bin memberships softmax(-(c - centers)^2 / T).
 
     Accepts a scalar (returns shape (M,)) or a 1-d array (returns (N, M)).
     Rows sum to 1 and every entry is strictly positive.  The (N, M) result is
     a transposed view of a C-contiguous (M, N) array: `.T` gives bins-major.
+
+    out, when given, is a caller-owned C-contiguous float64 (M, N) array
+    that the memberships are built in, so a repeated call of the same size
+    allocates nothing; the result is then a view of out, and the next call
+    overwrites it.  The values are bit-identical to a call without out.
     """
     scalar = np.isscalar(conf) or np.ndim(conf) == 0
     c = np.atleast_1d(np.asarray(conf, dtype=np.float64))
-    g = np.subtract.outer(spec.centers, c)
+    g = np.subtract.outer(spec.centers, c, out=out)
     g **= 2
     g /= -spec.temperature
     g -= g.max(axis=0)

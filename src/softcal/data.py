@@ -18,6 +18,18 @@ class IngestionError(ValueError):
     """Logits or labels failed validation on ingestion."""
 
 
+def check_labels(labels, n: int) -> np.ndarray:
+    """The labels as int64 once they pass the EvalSet rules that need no
+    class count: shape (n,) and integer values (NaN and inf are not)."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise IngestionError(f"labels must have shape ({n},), got {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        if not (np.isfinite(labels).all() and (labels == np.floor(labels)).all()):
+            raise IngestionError("labels must be integers")
+    return labels.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class EvalSet:
     """An N x K float64 logit matrix plus N integer labels in [0, K)."""
@@ -27,21 +39,13 @@ class EvalSet:
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=np.float64)
-        labels = np.asarray(self.labels)
         if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
             raise IngestionError(
                 f"logits must be N x K with N >= 1 and K >= 2, got shape {logits.shape}"
             )
         if not np.all(np.isfinite(logits)):
             raise IngestionError("logits contain non-finite values")
-        if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-            raise IngestionError(
-                f"labels must have shape ({logits.shape[0]},), got {labels.shape}"
-            )
-        if not np.issubdtype(labels.dtype, np.integer):
-            if not np.all(labels == np.floor(labels)):
-                raise IngestionError("labels must be integers")
-        labels = labels.astype(np.int64)
+        labels = check_labels(self.labels, logits.shape[0])
         if labels.min() < 0 or labels.max() >= logits.shape[1]:
             raise IngestionError(
                 f"labels must lie in [0, {logits.shape[1]}), got range "

@@ -85,25 +85,16 @@ class LossValueGrad:
     l2_value: float
 
 
-def _label_onehot(summary: PredictionSummary, labels: np.ndarray) -> np.ndarray:
-    onehot = np.zeros_like(summary.probs)
-    onehot[np.arange(summary.n), labels] = 1.0
-    return onehot
-
-
-def _log_probs(summary: PredictionSummary) -> np.ndarray:
-    # log-softmax recomputed from probabilities would lose precision for
-    # saturated rows; the probs here come from a max-subtracted softmax, so
-    # log(p) is accurate except at hard zeros, which we floor.
-    return np.log(np.maximum(summary.probs, 1e-300))
-
-
 def nll(summary: PredictionSummary, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log likelihood; gradient is (probs - onehot) / (N t)."""
     n = summary.n
-    logp = _log_probs(summary)[np.arange(n), labels]
-    value = float(-logp.mean())
-    grad = (summary.probs - _label_onehot(summary, labels)) / (n * summary.temperature)
+    rows = np.arange(n)
+    # The probs come from a max-subtracted softmax, so log(p) is accurate
+    # except at hard zeros, which are floored.
+    value = float(-np.log(np.maximum(summary.probs[rows, labels], 1e-300)).mean())
+    grad = summary.probs.copy()  # probs - onehot
+    grad[rows, labels] -= 1.0
+    grad /= n * summary.temperature
     return value, grad
 
 
@@ -115,7 +106,7 @@ def focal(summary: PredictionSummary, labels: np.ndarray, gamma: float) -> tuple
     rows = np.arange(n)
     p_y = summary.probs[rows, labels]
     omp = 1.0 - p_y
-    logp = _log_probs(summary)[rows, labels]
+    logp = np.log(np.maximum(p_y, 1e-300))
     value = float(-(omp**gamma * logp).mean())
 
     # dL_i/dz_k = [gamma (1-p)^{g-1} log p - (1-p)^g / p] * p (delta_ky - p_k) / t
@@ -126,8 +117,11 @@ def focal(summary: PredictionSummary, labels: np.ndarray, gamma: float) -> tuple
             t1 = gamma * omp ** (gamma - 1.0) * logp
         t1 = np.where(omp > 0, t1, 0.0)  # limit of the saturated case
         coef = t1 - omp**gamma / np.maximum(p_y, 1e-300)
-    onehot = _label_onehot(summary, labels)
-    jac = (p_y[:, None] * (onehot - summary.probs)) / summary.temperature
+    # onehot - probs as 0.0 - probs, which keeps the sign of zero entries
+    # that -probs would flip, plus 1 at the labels.
+    delta = 0.0 - summary.probs
+    delta[rows, labels] += 1.0
+    jac = (p_y[:, None] * delta) / summary.temperature
     grad = coef[:, None] * jac / n
     return value, grad
 
@@ -135,7 +129,8 @@ def focal(summary: PredictionSummary, labels: np.ndarray, gamma: float) -> tuple
 def mse(summary: PredictionSummary, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Multiclass Brier score: mean over examples of sum_k (p_k - y_k)^2."""
     n = summary.n
-    r = summary.probs - _label_onehot(summary, labels)
+    r = summary.probs.copy()  # probs - onehot
+    r[np.arange(n), labels] -= 1.0
     value = float((r**2).sum(axis=1).mean())
     s = (r * summary.probs).sum(axis=1, keepdims=True)
     grad = 2.0 * summary.probs * (r - s) / (n * summary.temperature)

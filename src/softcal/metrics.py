@@ -126,11 +126,19 @@ def sb_ece_arrays(
     spec: SoftBinningSpec,
     p: float = 2.0,
     mode: str = LABEL_BINNED,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EceReport:
-    """sb_ece on per-example confidence and 0/1 accuracy arrays."""
+    """sb_ece on per-example confidence and 0/1 accuracy arrays.
+
+    out, when given, is a caller-owned pair of C-contiguous float64 (M, N)
+    arrays: the first holds the memberships, the second the label-binned
+    gaps |A_j - c_i|^p (unused in binned mode).  A repeated call of the same
+    size then allocates no (M, N) array, and the next call overwrites both.
+    The value is bit-identical to a call without out.
+    """
     p = check_p(p)
     mode = _check_mode(mode)
-    r, _, stats = _sb_ece_forward(confidence, accuracy, spec, p, mode)
+    r, _, stats = _sb_ece_forward(confidence, accuracy, spec, p, mode, out)
     return EceReport(
         value=float(r ** (1.0 / p)),
         p=p,
@@ -143,11 +151,14 @@ def sb_ece_arrays(
 
 
 def _sb_ece_forward(
-    confidence: np.ndarray, accuracy: np.ndarray, spec: SoftBinningSpec, p: float, mode: str
+    confidence: np.ndarray, accuracy: np.ndarray, spec: SoftBinningSpec, p: float, mode: str,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, BinStats]:
     """SB-ECE to the power p, the bins-major (M, N) memberships u and the
-    soft bin statistics: the forward half shared by value and gradient."""
-    u = soft_membership(confidence, spec).T  # (M, N)
+    soft bin statistics: the forward half shared by value and gradient.
+    out is the (memberships, gaps) buffer pair of sb_ece_arrays."""
+    u_out, d_out = (None, None) if out is None else out
+    u = soft_membership(confidence, spec, out=u_out).T  # (M, N)
     s = u.sum(axis=1)
     sf = np.maximum(s, _MASS_FLOOR)
     # einsum rather than BLAS, whose threads spin-wait when the cores are busy.
@@ -159,7 +170,7 @@ def _sb_ece_forward(
         gap = np.abs(stats.mean_acc - stats.mean_conf)
         r = ((stats.size / n) * gap**p).sum()
     else:
-        d = np.subtract.outer(stats.mean_acc, confidence)
+        d = np.subtract.outer(stats.mean_acc, confidence, out=d_out)
         np.abs(d, out=d)
         d **= p
         d *= u

@@ -128,7 +128,11 @@ def _objective_fn(
     # Always a copy: the in-place subtraction must not reach the caller's logits.
     shifts = np.array(logits.T, order="C")  # (K, N), entries <= 0
     shifts -= logits.max(axis=1)
-    buf = np.empty_like(shifts)
+    (k, n), m = shifts.shape, sb_spec.num_bins
+    # norm's exp(shifts / t) is dead once it returns, so the SB-ECE gaps
+    # that follow it reuse its rows: one (max(K, M), N) array serves both.
+    scratch = np.empty((max(k, m) if objective == "sb-ece" else k, n))
+    buf = scratch[:k]
 
     def norm(t: float) -> np.ndarray:
         """s(t) per example; the top class contributes exp(0) = 1."""
@@ -137,15 +141,17 @@ def _objective_fn(
         return buf.sum(axis=0)
 
     if objective == "nll":
-        shift_y = shifts[val_set.labels, np.arange(val_set.n)]
+        shift_y = shifts[val_set.labels, np.arange(n)]
 
         def fn(t: float) -> float:
             return float(np.mean(np.log(norm(t)) - shift_y / t))
     else:
         accuracy = (np.argmax(logits, axis=1) == val_set.labels).astype(np.float64)
+        # Membership and gap buffers, filled in place by every evaluation.
+        pair = (np.empty((m, n)), scratch[:m])
 
         def fn(t: float) -> float:
-            return sb_ece_arrays(1.0 / norm(t), accuracy, sb_spec, p=p, mode=mode).value
+            return sb_ece_arrays(1.0 / norm(t), accuracy, sb_spec, p=p, mode=mode, out=pair).value
     return fn
 
 
@@ -184,7 +190,7 @@ def fit_temperature(
     hi = grid[min(best + 1, len(grid) - 1)]
     t_ref, v_ref, refine_evals = brent_minimize(fn, lo, hi, REFINE_TOL)
     trace.extend((float(x), float(v)) for x, v in refine_evals)
-    del fn  # frees the shift buffers before the ECE summaries below
+    del fn  # frees the shift and SB-ECE buffers before the ECE summaries below
 
     t_star, v_star = (t_ref, v_ref) if v_ref <= values[best] else (float(grid[best]), float(values[best]))
     return TemperatureFit(

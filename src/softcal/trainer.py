@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .avuc import DegenerateBatchError
-from .data import EvalSet, IngestionError, summarize
+from .data import EvalSet, IngestionError, check_labels, summarize
 from .losses import LossSpec, LossValueGrad, composite_loss_arrays
 from .metrics import eval_convention_ece
 from .mlp import MlpModel
@@ -109,18 +109,21 @@ def train(
 ) -> tuple[MlpModel, TrainReport]:
     """SGD with momentum on the composite loss; fully seeded and deterministic.
 
-    Malformed training or validation data raises IngestionError before the
-    first epoch; non-finite logits or loss raise TrainingDivergedError naming
-    the epoch.
+    Malformed training or validation data, feature widths that differ
+    between the two included, raises IngestionError before the first epoch;
+    non-finite logits or loss raise TrainingDivergedError naming the epoch.
     """
-    x_train, y_train = np.asarray(train_xy[0], dtype=np.float64), np.asarray(train_xy[1])
-    x_val, y_val = np.asarray(val_xy[0], dtype=np.float64), np.asarray(val_xy[1])
+    x_train, x_val = (np.asarray(xy[0], dtype=np.float64) for xy in (train_xy, val_xy))
+    for name, x in (("training", x_train), ("validation", x_val)):
+        if x.ndim != 2 or x.shape[0] < 1 or not np.isfinite(x).all():
+            raise IngestionError(f"{name} features must be finite, 2-d and non-empty, got shape {x.shape}")
+    if x_val.shape[1] != x_train.shape[1]:
+        raise IngestionError(f"validation features have {x_val.shape[1]} columns, training {x_train.shape[1]}")
+    y_train = check_labels(train_xy[1], x_train.shape[0])
+    y_val = check_labels(val_xy[1], x_val.shape[0])
     if num_classes is None:
         num_classes = int(max(y_train.max(), y_val.max())) + 1
 
-    for name, x in (("training", x_train), ("validation", x_val)):
-        if x.ndim != 2 or not np.isfinite(x).all():
-            raise IngestionError(f"{name} features must be finite and 2-d, got shape {x.shape}")
     # Both label sets pass the EvalSet rules once, here, so the batches skip
     # them.  Every epoch's forward writes its logits into val_set.logits, the
     # last of the buffers in val_out, so the validation pass allocates no

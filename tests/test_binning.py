@@ -82,10 +82,36 @@ def test_equal_mass_respects_order(conf, m):
     assert (np.diff(a.bin_index[order]) >= 0).all()
 
 
+@pytest.mark.parametrize("n", [1, 768, 5_000, 50_000])
+def test_equal_mass_matches_the_stable_split_rule_under_heavy_ties(n):
+    rng = np.random.default_rng(n)
+    cases = [
+        rng.random(n),
+        rng.choice([0.1, 0.5, 0.9], size=n),  # three runs of equal values
+        np.where(rng.random(n) < 0.4, 1.0, rng.random(n)),  # 40% exact 1.0
+        rng.choice([0.0, -0.0, 0.3, 1.0], size=n),  # 0.0 and -0.0 compare equal
+        np.round(rng.random(n), 3),
+    ]
+    for conf in cases:
+        for m in (1, 7, 15, 40):
+            idx = assign_hard(conf, BinningSpec(scheme="equal-mass", num_bins=m)).bin_index
+            np.testing.assert_array_equal(idx, oracles.hard_bin_index(conf, m, "equal-mass"))
+
+
 def test_empty_bin_flag():
     spec = BinningSpec(scheme="equal-width", num_bins=10)
     assert assign_hard(np.array([0.05, 0.06]), spec).has_empty_bins
     assert not assign_hard(np.linspace(0.05, 0.95, 10), spec).has_empty_bins
+
+
+def test_soft_membership_into_a_reused_buffer_matches_a_fresh_call():
+    rng = np.random.default_rng(12)
+    spec = SoftBinningSpec(num_bins=15, temperature=0.01)
+    out = np.full((15, 500), np.nan)
+    for conf in (rng.random(500), np.where(rng.random(500) < 0.4, 1.0, rng.random(500))):
+        u = soft_membership(conf, spec, out=out)
+        assert u.base is out
+        np.testing.assert_array_equal(u, soft_membership(conf, spec))
 
 
 def test_membership_frozen_value():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from softcal import (
     summarize,
     sb_ece_confidence_grad,
 )
+from softcal.metrics import sb_ece_arrays
 
 
 def summary_from_conf(conf, acc):
@@ -184,6 +187,40 @@ def test_value_and_gradient_apis_share_one_forward(mode, p):
         s = summarize(EvalSet(*random_batch(rng, n_hi=64)))
         spec = SoftBinningSpec(num_bins=int(rng.integers(1, 16)), temperature=float(10 ** rng.uniform(-2.5, -0.5)))
         assert sb_ece(s, spec, p=p, mode=mode).value == sb_ece_grad(s, spec, p=p, mode=mode)[0]
+
+
+@pytest.mark.parametrize("mode", [LABEL_BINNED, BINNED])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_sb_ece_arrays_into_reused_buffers_matches_a_fresh_call(mode, p):
+    rng = np.random.default_rng(19)
+    spec = SoftBinningSpec(num_bins=15, temperature=0.01)
+    n = 400
+    pair = (np.full((15, n), np.nan), np.full((15, n), np.nan))
+    for conf in (rng.uniform(0.1, 1.0, n), np.where(rng.random(n) < 0.4, 1.0, rng.uniform(0.5, 1.0, n))):
+        acc = (rng.random(n) < conf).astype(np.float64)
+        got = sb_ece_arrays(conf, acc, spec, p=p, mode=mode, out=pair)
+        want = sb_ece_arrays(conf, acc, spec, p=p, mode=mode)
+        assert got.value == want.value
+        for field in ("size", "mean_conf", "mean_acc"):
+            np.testing.assert_array_equal(getattr(got.bin_stats, field), getattr(want.bin_stats, field))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
+def test_sb_ece_arrays_into_reused_buffers_adds_no_page_faults():
+    import resource
+
+    rng = np.random.default_rng(20)
+    n = 50_000
+    conf = rng.uniform(0.1, 1.0, n)
+    acc = (rng.random(n) < conf).astype(np.float64)
+    spec = SoftBinningSpec()
+    pair = (np.empty((spec.num_bins, n)), np.empty((spec.num_bins, n)))
+    sb_ece_arrays(conf, acc, spec, out=pair)  # first touch of the buffers
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        sb_ece_arrays(conf, acc, spec, out=pair)
+    # Fresh (M, N) arrays fault in ~1,400 pages per call.
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 def test_eval_convention_is_equal_mass_l2_binned():

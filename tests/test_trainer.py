@@ -274,23 +274,32 @@ def test_bad_validation_data_is_an_ingestion_error():
             train((task.x_train, task.y_train), (x_val, y_val), cfg, num_classes=2)
 
 
-@pytest.mark.parametrize("fault", ["label out of range", "non-integer label", "nan feature"])
+@pytest.mark.parametrize("fault", ["label out of range", "non-integer label", "nan feature", "nan label",
+                                   "inf label", "narrower validation features"])
 def test_bad_training_data_is_an_ingestion_error_before_the_first_epoch(fault, monkeypatch):
     task = make_synthetic_task("gaussian-blobs", 300, seed=11)
-    x, y = task.x_train.copy(), task.y_train.astype(np.float64)
+    x, y, x_val = task.x_train.copy(), task.y_train.astype(np.float64), task.x_val
+    # A label the class count is derived from must be checked before use.
+    num_classes = None if fault in ("nan label", "inf label") else 2
     if fault == "label out of range":
         y[5] = 2
     elif fault == "non-integer label":
         y[5] = 0.5
-    else:
+    elif fault == "nan feature":
         x[3, 0] = np.nan
+    elif fault == "nan label":
+        y[5] = np.nan
+    elif fault == "inf label":
+        y[5] = np.inf
+    else:
+        x_val = x_val[:, :1]
 
     def no_batches(*args):
         raise AssertionError("a batch ran on unchecked training data")
 
     monkeypatch.setattr(trainer_module, "forward_backward", no_batches)
     with pytest.raises(IngestionError):
-        train((x, y), (task.x_val, task.y_val), TrainConfig(hidden=(8,), epochs=1), num_classes=2)
+        train((x, y), (x_val, task.y_val), TrainConfig(hidden=(8,), epochs=1), num_classes=num_classes)
 
 
 def test_config_validation():
