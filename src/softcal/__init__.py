@@ -13,11 +13,9 @@ from .avuc import (
 )
 from .binning import (
     BinningSpec,
-    HardAssignment,
     SoftBinningSpec,
     assign_hard,
     soft_membership,
-    soft_membership_grad,
 )
 from .data import EvalSet, IngestionError, PredictionSummary, summarize
 from .losses import LossSpec, LossValueGrad, composite_loss, focal, mse, nll
@@ -59,7 +57,6 @@ __all__ = [
     "DegenerateBatchError",
     "EceReport",
     "EvalSet",
-    "HardAssignment",
     "IngestionError",
     "LossSpec",
     "LossValueGrad",
@@ -93,7 +90,6 @@ __all__ = [
     "sb_ece_confidence_grad",
     "sb_ece_grad",
     "soft_membership",
-    "soft_membership_grad",
     "soft_uncertainty",
     "summarize",
     "sweep_one_at_a_time",

@@ -93,12 +93,6 @@ def soft_uncertainty(hstar, kappa: float, temperature: float):
     return float(out) if np.ndim(hstar) == 0 else out
 
 
-def soft_uncertainty_grad(hstar, kappa: float, temperature: float):
-    """dt/dh* = t (1 - t) / (T h* (1 - h*)); zero in the clamped region."""
-    grad = _soft_uncertainty_slope(hstar, soft_uncertainty(hstar, kappa, temperature), temperature)
-    return float(grad) if np.ndim(hstar) == 0 else grad
-
-
 def _soft_uncertainty_slope(hstar, t, temperature: float) -> np.ndarray:
     """dt/dh* from t = soft_uncertainty(h*, kappa, temperature)."""
     h_raw = np.asarray(hstar, dtype=np.float64)

@@ -53,19 +53,6 @@ class SoftBinningSpec:
         return (np.arange(m) + 0.5) / m
 
 
-@dataclass(frozen=True)
-class HardAssignment:
-    """Result of a hard binning pass.
-
-    bin_index:      per-example bin in [0, M)
-    has_empty_bins: True when some bin received no examples (possible for
-                    equal-mass with N < M, or equal-width with sparse data)
-    """
-
-    bin_index: np.ndarray
-    has_empty_bins: bool
-
-
 def _check_confidences(conf: np.ndarray) -> np.ndarray:
     conf = np.asarray(conf, dtype=np.float64)
     if conf.ndim != 1 or conf.size == 0:
@@ -75,8 +62,9 @@ def _check_confidences(conf: np.ndarray) -> np.ndarray:
     return conf
 
 
-def assign_hard(conf: np.ndarray, spec: BinningSpec) -> HardAssignment:
-    """Assign each confidence to one of M bins.
+def assign_hard(conf: np.ndarray, spec: BinningSpec) -> np.ndarray:
+    """Assign each confidence to one of M bins; returns the int64 bin-index
+    array, one entry in [0, M) per confidence.
 
     Equal-width: bins [j/M, (j+1)/M), the last bin closed at 1.
     Equal-mass:  order by (confidence, original index), so equal values
@@ -106,8 +94,7 @@ def assign_hard(conf: np.ndarray, spec: BinningSpec) -> HardAssignment:
         bounds = -(-np.arange(m + 1) * n // m)  # ceil(j*N/M)
         for j in range(m):
             idx[order[bounds[j]:bounds[j + 1]]] = j
-    sizes = np.bincount(idx, minlength=m)
-    return HardAssignment(bin_index=idx, has_empty_bins=bool((sizes == 0).any()))
+    return idx
 
 
 def soft_membership(conf, spec: SoftBinningSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -131,14 +118,6 @@ def soft_membership(conf, spec: SoftBinningSpec, out: np.ndarray | None = None) 
     np.exp(g, out=g)
     g /= g.sum(axis=0)
     return g[:, 0] if scalar else g.T
-
-
-def soft_membership_grad(conf, spec: SoftBinningSpec) -> np.ndarray:
-    """d membership / d confidence, same shape conventions as soft_membership."""
-    scalar = np.isscalar(conf) or np.ndim(conf) == 0
-    c = np.atleast_1d(np.asarray(conf, dtype=np.float64))
-    du = membership_derivative(soft_membership(c, spec).T, c, spec)
-    return du[:, 0] if scalar else du.T
 
 
 def membership_derivative(u: np.ndarray, conf: np.ndarray, spec: SoftBinningSpec) -> np.ndarray:

@@ -14,8 +14,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import replace
+from contextlib import contextmanager, nullcontext
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ from .binning import BinningSpec, SoftBinningSpec
 from .data import EvalSet, IngestionError, summarize
 from .io import (
     DataError,
-    RunConfig,
     UsageError,
     as_arguments,
     load_json,
@@ -60,10 +59,6 @@ def _resolve_seed(flag_seed, config_seed: int) -> int:
     return config_seed
 
 
-def _make_task(config: RunConfig):
-    return make_synthetic_task(seed=config.seed, **as_arguments(config.data))
-
-
 @contextmanager
 def _flag_errors():
     """Turn a ValueError from checking flags, before any file is read, into a usage error."""
@@ -71,6 +66,15 @@ def _flag_errors():
         yield
     except ValueError as err:
         raise UsageError(str(err)) from None
+
+
+@contextmanager
+def _output_errors(path):
+    """Turn an OSError from creating an output file or directory into a usage error."""
+    try:
+        yield
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _metrics_block(eval_set: EvalSet, spec: BinningSpec | SoftBinningSpec, args) -> dict:
@@ -106,7 +110,7 @@ def cmd_metrics(args) -> int:
 def cmd_reliability(args) -> int:
     with _flag_errors():
         spec = BinningSpec(scheme=args.scheme, num_bins=args.bins)
-    rows, _ = reliability_table(summarize(read_logits_csv(args.logits)), spec)
+    rows = reliability_table(summarize(read_logits_csv(args.logits)), spec)
     print("bin,mean_conf,mean_acc,weight")
     for j, mean_conf, mean_acc, weight in rows:
         conf_s = "" if mean_conf is None else repr(mean_conf)
@@ -121,14 +125,16 @@ def cmd_recalibrate(args) -> int:
         sb_spec = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
     val_set = read_logits_csv(args.val_logits)
     test_set = read_logits_csv(args.test_logits)
-    fit = fit_temperature(val_set, objective=args.objective, sb_spec=sb_spec, p=args.p, mode=args.mode)
-    print(f"recalibrate: objective={fit.objective} t_star={fit.t_star!r} "
-          f"evaluations={len(fit.trace)} at_bound={fit.at_bound}", file=sys.stderr)
-    if args.trace:
-        with open(args.trace, "w") as handle:
-            handle.write("temperature,objective\n")
+    with _output_errors(args.trace):
+        trace = open(args.trace, "w") if args.trace else nullcontext()
+    with trace:
+        fit = fit_temperature(val_set, objective=args.objective, sb_spec=sb_spec, p=args.p, mode=args.mode)
+        print(f"recalibrate: objective={fit.objective} t_star={fit.t_star!r} "
+              f"evaluations={len(fit.trace)} at_bound={fit.at_bound}", file=sys.stderr)
+        if args.trace:
+            trace.write("temperature,objective\n")
             for t, v in fit.trace:
-                handle.write(f"{t!r},{v!r}\n")
+                trace.write(f"{t!r},{v!r}\n")
     _emit_json(
         {
             "tStar": fit.t_star,
@@ -154,8 +160,9 @@ def cmd_train(args) -> int:
     config = load_run_config(args.config)
     config = config.with_seed(_resolve_seed(args.seed, config.seed))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    task = _make_task(config)
+    with _output_errors(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    task = make_synthetic_task(seed=config.seed, **as_arguments(config.data))
     model, report = train(
         (task.x_train, task.y_train),
         (task.x_val, task.y_val),
@@ -164,7 +171,7 @@ def cmd_train(args) -> int:
     )
     test_set, test_metrics = _test_metrics(model, task, config.train["eval_bins"])
 
-    doc = {"config": config.to_dict(), "report": report.to_dict(), **test_metrics}
+    doc = {"config": asdict(config), "report": asdict(report), **test_metrics}
     (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     arrays = {}
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -202,8 +209,9 @@ def cmd_sweep(args) -> int:
     config = config.with_seed(_resolve_seed(args.seed, config.seed))
     grids = _load_grid(args.grid, config.loss_spec())
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    task = _make_task(config)
+    with _output_errors(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    task = make_synthetic_task(seed=config.seed, **as_arguments(config.data))
 
     def train_fn(train_config):
         _, report = train(
@@ -223,7 +231,7 @@ def cmd_sweep(args) -> int:
                 f"{row.stage},{row.value!r},{row.val_accuracy!r},"
                 f"{(100.0 * row.val_ece)!r},{int(row.selected)}\n"
             )
-    selected_doc = config.with_loss(selected.loss).to_dict()
+    selected_doc = asdict(config.with_loss(selected.loss))
     (out_dir / "selected_config.json").write_text(
         json.dumps(selected_doc, indent=2, sort_keys=True) + "\n"
     )

@@ -114,11 +114,6 @@ def _softmax_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction. Shift-invariant by construction."""
-    return _softmax_in_place(np.array(z, dtype=np.float64))
-
-
 def entropy_nats(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy per row in nats; 0 * log(0) treated as 0."""
     from scipy.special import xlogy  # scipy loads only when entropy is read

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from inspect import signature
 
 import numpy as np
@@ -176,17 +176,7 @@ class RunConfig:
         return replace(self, seed=int(seed))
 
     def with_loss(self, loss_spec: LossSpec) -> "RunConfig":
-        loss = {name: getattr(loss_spec, name) for name in _LOSS_DEFAULTS}
-        return replace(self, loss=loss)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "data": dict(self.data),
-            "model": dict(self.model),
-            "train": dict(self.train),
-            "loss": dict(self.loss),
-        }
+        return replace(self, loss=asdict(loss_spec))
 
 
 def as_arguments(section: dict) -> dict:

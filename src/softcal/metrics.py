@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import BinningSpec, HardAssignment, SoftBinningSpec, assign_hard, membership_derivative, soft_membership
+from .binning import BinningSpec, SoftBinningSpec, assign_hard, membership_derivative, soft_membership
 from .data import PredictionSummary
 
 BINNED = "binned"
@@ -67,18 +67,18 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def bin_stats_hard(summary: PredictionSummary, spec: BinningSpec) -> tuple[BinStats, HardAssignment]:
-    """Counts and means per hard bin. Empty bins get size 0 and NaN means."""
-    assignment = assign_hard(summary.confidence, spec)
+def bin_stats_hard(summary: PredictionSummary, spec: BinningSpec) -> tuple[BinStats, np.ndarray]:
+    """Counts and means per hard bin, and the bin index of each example.
+    Empty bins get size 0 and NaN means."""
+    idx = assign_hard(summary.confidence, spec)
     m = spec.num_bins
-    idx = assignment.bin_index
     size = np.bincount(idx, minlength=m).astype(np.float64)
     conf_sum = np.bincount(idx, weights=summary.confidence, minlength=m)
     acc_sum = np.bincount(idx, weights=summary.accuracy, minlength=m)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_conf = np.where(size > 0, conf_sum / np.maximum(size, 1.0), np.nan)
         mean_acc = np.where(size > 0, acc_sum / np.maximum(size, 1.0), np.nan)
-    return BinStats(size=size, mean_conf=mean_conf, mean_acc=mean_acc), assignment
+    return BinStats(size=size, mean_conf=mean_conf, mean_acc=mean_acc), idx
 
 
 def ece(
@@ -90,14 +90,14 @@ def ece(
     """Hard-binned expected calibration error with an l_p reduction."""
     p = check_p(p)
     mode = _check_mode(mode)
-    stats, assignment = bin_stats_hard(summary, spec)
+    stats, bin_index = bin_stats_hard(summary, spec)
     n = summary.n
     occupied = stats.size > 0
     if mode == BINNED:
         gap = np.abs(stats.mean_acc[occupied] - stats.mean_conf[occupied])
         r = ((stats.size[occupied] / n) * gap**p).sum()
     else:
-        per_bin_acc = stats.mean_acc[assignment.bin_index]
+        per_bin_acc = stats.mean_acc[bin_index]
         r = (np.abs(per_bin_acc - summary.confidence) ** p).mean()
     return EceReport(
         value=float(r ** (1.0 / p)),
@@ -263,9 +263,9 @@ def eval_convention_ece(summary: PredictionSummary, num_bins: int = 15) -> float
 
 def reliability_table(
     summary: PredictionSummary, spec: BinningSpec
-) -> tuple[list[tuple[int, float | None, float | None, float]], dict]:
-    """Rows (bin, mean_conf, mean_acc, weight) for all M bins, plus overall
-    mean confidence/accuracy. Empty bins carry None means and weight 0."""
+) -> list[tuple[int, float | None, float | None, float]]:
+    """Rows (bin, mean_conf, mean_acc, weight) for all M bins. Empty bins
+    carry None means and weight 0."""
     stats, _ = bin_stats_hard(summary, spec)
     n = summary.n
     rows = []
@@ -274,9 +274,4 @@ def reliability_table(
             rows.append((j, float(stats.mean_conf[j]), float(stats.mean_acc[j]), float(stats.size[j] / n)))
         else:
             rows.append((j, None, None, 0.0))
-    overall = {
-        "mean_confidence": float(summary.confidence.mean()),
-        "accuracy": float(summary.accuracy.mean()),
-        "n": n,
-    }
-    return rows, overall
+    return rows

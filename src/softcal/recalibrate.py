@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .binning import SoftBinningSpec
-from .data import EvalSet, summarize
-from .metrics import LABEL_BINNED, eval_convention_ece, sb_ece_arrays
+from .data import EvalSet
+from .metrics import LABEL_BINNED, sb_ece_arrays
 
 OBJECTIVES = ("nll", "sb-ece")
 
@@ -50,8 +50,6 @@ class TemperatureFit:
     t_star: float
     objective: str
     objective_value: float
-    ece_before: float
-    ece_after: float
     trace: list = field(default_factory=list)  # (t, objective value) in eval order
 
     @property
@@ -190,14 +188,11 @@ def fit_temperature(
     hi = grid[min(best + 1, len(grid) - 1)]
     t_ref, v_ref, refine_evals = brent_minimize(fn, lo, hi, REFINE_TOL)
     trace.extend((float(x), float(v)) for x, v in refine_evals)
-    del fn  # frees the shift and SB-ECE buffers before the ECE summaries below
 
     t_star, v_star = (t_ref, v_ref) if v_ref <= values[best] else (float(grid[best]), float(values[best]))
     return TemperatureFit(
         t_star=float(t_star),
         objective=objective,
         objective_value=float(v_star),
-        ece_before=eval_convention_ece(summarize(val_set, 1.0)),
-        ece_after=eval_convention_ece(summarize(val_set, t_star)),
         trace=trace,
     )

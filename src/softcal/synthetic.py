@@ -30,10 +30,6 @@ class SyntheticTask:
     x_test: np.ndarray
     y_test: np.ndarray
 
-    @property
-    def input_dim(self) -> int:
-        return self.x_train.shape[1]
-
 
 def _blob_means(classes: int, separation: float, dim: int) -> np.ndarray:
     # Means on a circle in the first two coordinates, spaced so adjacent

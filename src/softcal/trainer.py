@@ -68,16 +68,6 @@ class TrainReport:
     final_val_accuracy: float
     final_val_ece: float
 
-    def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_accuracy": self.val_accuracy,
-            "val_ece": self.val_ece,
-            "skipped_batches": self.skipped_batches,
-            "final_val_accuracy": self.final_val_accuracy,
-            "final_val_ece": self.final_val_ece,
-        }
-
 
 def forward_backward(
     model: MlpModel, x: np.ndarray, y: np.ndarray, spec: LossSpec
@@ -222,7 +212,8 @@ def sweep_one_at_a_time(
         best_acc = max(c[2] for c in candidates)
         eligible = [c for c in candidates if c[2] >= best_acc * 0.99]
         winner = min(eligible, key=lambda c: c[3])
-        for value, _, acc, ece_val in candidates:
-            rows.append(SweepRow(param, float(value), acc, ece_val, value == winner[0]))
+        # The winner itself, not its value: a repeated grid value is selected once.
+        for c in candidates:
+            rows.append(SweepRow(param, float(c[0]), c[2], c[3], c is winner))
         current = winner[1]
     return current, rows

@@ -16,7 +16,7 @@ from softcal import (
     soft_uncertainty,
     summarize,
 )
-from softcal.avuc import soft_uncertainty_grad
+from softcal.avuc import _soft_uncertainty_slope
 
 
 def raw_summary(conf, entropy, acc, k=2):
@@ -159,9 +159,12 @@ def test_soft_uncertainty_limits_and_step():
 
 
 def test_soft_uncertainty_grad_zero_in_clamp_region():
-    assert soft_uncertainty_grad(0.0, 0.5, 1.0) == 0.0
-    assert soft_uncertainty_grad(1.0, 0.5, 1.0) == 0.0
-    assert soft_uncertainty_grad(0.5, 0.5, 1.0) > 0.0
+    def slope(h):
+        return _soft_uncertainty_slope(h, soft_uncertainty(h, 0.5, 1.0), 1.0)
+
+    assert slope(0.0) == 0.0
+    assert slope(1.0) == 0.0
+    assert slope(0.5) > 0.0
 
 
 def test_s_avuc_requires_temperature():

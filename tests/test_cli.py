@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import softcal
+import softcal.cli
+from softcal import LossSpec
 from softcal.cli import main
 from softcal.data import EvalSet
 from softcal.io import read_logits_csv, write_logits_csv
@@ -241,6 +244,21 @@ def test_recalibrate_sb_objective_and_trace(capsys, recal_files, tmp_path):
         assert float(t) > 0 and np.isfinite(float(v))
 
 
+def test_trace_into_a_missing_directory_exits_64_before_the_fit(capsys, monkeypatch, recal_files, tmp_path):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(softcal.cli, "fit_temperature", no_fit)
+    trace = tmp_path / "missing" / "t.csv"
+    code, out, err = run_cli(
+        capsys, "recalibrate", "--val-logits", recal_files["val2"],
+        "--test-logits", recal_files["test2"], "--trace", str(trace),
+    )
+    assert code == 64 and out == ""
+    assert err.startswith(f"usage error: cannot write {trace}:")
+    assert not trace.parent.exists()
+
+
 def test_recalibrate_missing_file_exits_2(capsys, recal_files, tmp_path):
     code, _, err = run_cli(
         capsys, "recalibrate", "--val-logits", recal_files["val2"],
@@ -260,6 +278,11 @@ def test_train_writes_report_model_and_logits(capsys, train_config, tmp_path):
     assert 0.0 <= stdout_doc["test_accuracy"] <= 1.0
 
     doc = json.loads((out_dir / "report.json").read_text())
+    assert set(doc) == {"config", "report", "test_accuracy", "test_ece_percent"}
+    assert set(doc["config"]) == {"seed", "data", "model", "train", "loss"}
+    assert set(doc["report"]) == {
+        "train_loss", "val_accuracy", "val_ece", "skipped_batches", "final_val_accuracy", "final_val_ece"
+    }
     assert doc["config"]["seed"] == 5
     assert len(doc["report"]["train_loss"]) == 2
     assert doc["test_ece_percent"] == stdout_doc["test_ece_percent"]
@@ -394,11 +417,22 @@ def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_pa
     assert not out_dir.exists()
 
 
-def test_unwritable_out_dir_is_an_internal_error(capsys, train_config, tmp_path):
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_out_naming_an_existing_file_exits_64_before_training(
+    capsys, monkeypatch, train_config, sweep_inputs, tmp_path, command
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr(softcal.cli, "train", no_training)
     blocker = tmp_path / "file"
     blocker.write_text("x")
-    code, _, err = run_cli(capsys, "train", "--config", train_config, "--out", str(blocker))
-    assert code == 1 and err.startswith("internal error:")
+    cfg, grid = sweep_inputs
+    inputs = ["--config", cfg, "--grid", grid] if command == "sweep" else ["--config", train_config]
+    code, out, err = run_cli(capsys, command, *inputs, "--out", str(blocker))
+    assert code == 64 and out == ""
+    assert err.startswith(f"usage error: cannot write {blocker}:")
+    assert blocker.read_text() == "x"
 
 
 def test_a_diverging_run_exits_3(capsys, tmp_path):
@@ -512,6 +546,7 @@ def test_sweep_writes_results_and_a_reusable_config(capsys, sweep_inputs, tmp_pa
     assert all(line.split(",")[0] == "beta" for line in lines[1:])
 
     selected = out_dir / "selected_config.json"
+    assert set(json.loads(selected.read_text())["loss"]) == {f.name for f in fields(LossSpec)}
     code, _, _ = run_cli(capsys, "train", "--config", str(selected), "--out", str(tmp_path / "re"))
     assert code == 0
 

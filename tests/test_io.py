@@ -1,6 +1,7 @@
 """Logits CSV parsing/writing and the JSON run configuration."""
 
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -280,7 +281,7 @@ def test_with_seed_and_with_loss_round_trip():
     assert cfg.with_seed(9).seed == 9
     spec = LossSpec(secondary="avuc", beta=0.5, kappa=0.3)
     assert cfg.with_loss(spec).loss_spec() == spec
-    assert run_config_from_dict(cfg.to_dict()) == cfg
+    assert run_config_from_dict(asdict(cfg)) == cfg
 
 
 def test_load_run_config_errors(tmp_path):

@@ -107,7 +107,7 @@ def test_sb_ece_one_hot_membership_reduces_to_hard():
     m = 6
     from softcal import assign_hard
 
-    idx = assign_hard(s.confidence, BinningSpec(scheme="equal-width", num_bins=m)).bin_index
+    idx = assign_hard(s.confidence, BinningSpec(scheme="equal-width", num_bins=m))
     u = np.zeros((s.n, m))
     u[np.arange(s.n), idx] = 1.0
     size = u.sum(axis=0)
@@ -232,10 +232,8 @@ def test_eval_convention_is_equal_mass_l2_binned():
 
 
 def test_reliability_table_rows_and_weights():
-    rows, overall = reliability_table(FIXTURE, BinningSpec(scheme="equal-width", num_bins=2))
+    rows = reliability_table(FIXTURE, BinningSpec(scheme="equal-width", num_bins=2))
     assert rows[0] == (0, None, None, 0.0)
     assert rows[1][1] == pytest.approx(0.7)
     assert rows[1][2] == pytest.approx(0.75)
     assert sum(r[3] for r in rows) == pytest.approx(1.0)
-    assert overall["accuracy"] == 0.75
-    assert overall["n"] == 4

@@ -12,7 +12,6 @@ import softcal
 from softcal import (
     EvalSet,
     SoftBinningSpec,
-    eval_convention_ece,
     fit_temperature,
     nll,
     sb_ece,
@@ -133,15 +132,6 @@ def test_fit_on_calibrated_logits_is_near_one():
     es = scaled_posterior_set(rng, 8000, 4, 1.0)
     fit = fit_temperature(es, objective="nll")
     assert fit.t_star == pytest.approx(1.0, abs=0.05)
-
-
-def test_fit_reports_eval_convention_eces():
-    rng = np.random.default_rng(33)
-    es = scaled_posterior_set(rng, 2000, 4, 2.5)
-    fit = fit_temperature(es, objective="nll")
-    assert fit.ece_before == eval_convention_ece(summarize(es, 1.0))
-    assert fit.ece_after == eval_convention_ece(summarize(es, fit.t_star))
-    assert fit.ece_after < fit.ece_before  # overconfident input, so TS helps
 
 
 def test_fit_optimality_on_dense_grid():

@@ -64,7 +64,7 @@ def test_same_seed_reproduces_every_array():
 def test_label_ranges_and_dims():
     task = make_synthetic_task("gaussian-blobs", 400, seed=0, classes=5, dim=7)
     assert task.num_classes == 5
-    assert task.input_dim == 7
+    assert task.x_train.shape[1] == 7
     x, y = stacked(task)
     assert x.shape == (400, 7)
     assert y.min() >= 0 and y.max() <= 4
@@ -73,7 +73,7 @@ def test_label_ranges_and_dims():
     # Moons are inherently binary regardless of the requested class count.
     task = make_synthetic_task("noisy-moons", 400, seed=0, classes=5)
     assert task.num_classes == 2
-    assert task.input_dim == 2
+    assert task.x_train.shape[1] == 2
     _, y = stacked(task)
     assert set(np.unique(y)) == {0, 1}
 

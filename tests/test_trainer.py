@@ -213,7 +213,7 @@ def test_train_is_deterministic_and_report_is_consistent():
     cfg = TrainConfig(hidden=(8,), epochs=3, batch_size=32, seed=1)
     model_a, rep_a = train((task.x_train, task.y_train), (task.x_val, task.y_val), cfg)
     model_b, rep_b = train((task.x_train, task.y_train), (task.x_val, task.y_val), cfg)
-    assert rep_a.to_dict() == rep_b.to_dict()
+    assert rep_a == rep_b
     np.testing.assert_array_equal(model_a.get_params(), model_b.get_params())
 
     summary = summarize(EvalSet(model_a.forward(task.x_val)[0], task.y_val))
@@ -399,6 +399,20 @@ def test_sweep_stages_run_in_fixed_order_with_caching():
     assert cfg.loss.kappa == 0.7 and cfg.loss.lam == 0.01
     # The lam=0.0 candidate equals the kappa-stage winner, so it is cached.
     assert len(calls) == 3
+
+
+def test_a_repeated_grid_value_is_selected_once_per_stage():
+    base = TrainConfig(loss=LossSpec(secondary="s-avuc", beta=1.0, soft_temperature=0.1))
+    table = [
+        ({"kappa": 0.3}, (0.90, 0.02)),
+        ({"kappa": 0.7}, (0.90, 0.05)),
+        ({"beta": 0.5}, (0.90, 0.01)),
+        ({"beta": 1.0}, (0.90, 0.04)),
+    ]
+    grids = {"kappa": [0.3, 0.7, 0.3], "beta": [0.5, 0.5, 1.0]}
+    cfg, rows = sweep_one_at_a_time(base, grids, scripted_train_fn(table, []))
+    assert cfg.loss.kappa == 0.3 and cfg.loss.beta == 0.5
+    assert [r.selected for r in rows] == [True, False, False, True, False, False]
 
 
 def test_empty_or_missing_grids_are_skipped():
