@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: metrics, recalibrate, reliability, train, sweep.
-Exit codes: 0 success, 2 data errors, 3 training diverged, 64 usage errors,
-1 internal errors.
+Exit codes: 0 success, 2 data errors (a temperature fit that fails on the
+logits included), 3 training diverged, 64 usage errors, 1 internal errors.
 ECE is a percentage at this layer only; the library works in [0, 1].
 The seed precedence for train/sweep is --seed flag, then the CALREF_SEED
 environment variable, then the config file.
@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .io import (
 )
 from .losses import LossSpec
 from .metrics import check_p, ece, eval_convention_ece, reliability_table, sb_ece
-from .recalibrate import fit_temperature
+from .recalibrate import FitError, fit_temperature
 from .synthetic import make_synthetic_task
 from .trainer import SWEEP_ORDER, TrainingDivergedError, train, sweep_one_at_a_time
 
@@ -77,11 +77,25 @@ def _output_errors(path):
         raise UsageError(f"cannot write {path}: {err.strerror}") from None
 
 
-def _metrics_block(eval_set: EvalSet, spec: BinningSpec | SoftBinningSpec, args) -> dict:
-    summary = summarize(eval_set)
+def _make_out_dir(out: str, names: tuple[str, ...]) -> Path:
+    """Create the output directory, then check that each named file in it
+    could be opened for writing.  The check creates and truncates nothing."""
+    out_dir = Path(out)
+    with _output_errors(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        with _output_errors(out_dir / name), suppress(FileNotFoundError):
+            os.close(os.open(out_dir / name, os.O_WRONLY))
+    return out_dir
+
+
+def _metrics_block(path: str, spec: BinningSpec | SoftBinningSpec, args) -> dict:
+    # The summary holds no reference to the logits, so they are freed
+    # before the metric and entropy temporaries are made.
+    summary = summarize(read_logits_csv(path))
     report = (sb_ece if args.soft else ece)(summary, spec, p=args.p, mode=args.mode)
     return {
-        "n": eval_set.n,
+        "n": summary.n,
         "bins": report.num_bins,
         "scheme": report.scheme,
         "p": report.p,
@@ -100,9 +114,9 @@ def cmd_metrics(args) -> int:
         hard = BinningSpec(scheme=args.scheme, num_bins=args.bins)
         soft = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
     spec = soft if args.soft else hard
-    doc = _metrics_block(read_logits_csv(args.logits), spec, args)
+    doc = _metrics_block(args.logits, spec, args)
     if args.val_logits:
-        doc["val"] = _metrics_block(read_logits_csv(args.val_logits), spec, args)
+        doc["val"] = _metrics_block(args.val_logits, spec, args)
     _emit_json(doc)
     return 0
 
@@ -146,22 +160,10 @@ def cmd_recalibrate(args) -> int:
     return 0
 
 
-def _test_metrics(model, task, eval_bins: int) -> tuple[EvalSet, dict]:
-    logits = model.forward(task.x_test)[0]
-    test_set = EvalSet(logits, task.y_test)
-    summary = summarize(test_set)
-    return test_set, {
-        "test_accuracy": float(summary.accuracy.mean()),
-        "test_ece_percent": 100.0 * eval_convention_ece(summary, eval_bins),
-    }
-
-
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
     config = config.with_seed(_resolve_seed(args.seed, config.seed))
-    out_dir = Path(args.out)
-    with _output_errors(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out, ("report.json", "model.npz", "test_logits.csv"))
     task = make_synthetic_task(seed=config.seed, **as_arguments(config.data))
     model, report = train(
         (task.x_train, task.y_train),
@@ -169,7 +171,12 @@ def cmd_train(args) -> int:
         config.train_config(),
         num_classes=task.num_classes,
     )
-    test_set, test_metrics = _test_metrics(model, task, config.train["eval_bins"])
+    test_set = EvalSet(model.forward(task.x_test)[0], task.y_test)
+    summary = summarize(test_set)
+    test_metrics = {
+        "test_accuracy": float(summary.accuracy.mean()),
+        "test_ece_percent": 100.0 * eval_convention_ece(summary, config.train["eval_bins"]),
+    }
 
     doc = {"config": asdict(config), "report": asdict(report), **test_metrics}
     (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -208,9 +215,7 @@ def cmd_sweep(args) -> int:
     config = load_run_config(args.config)
     config = config.with_seed(_resolve_seed(args.seed, config.seed))
     grids = _load_grid(args.grid, config.loss_spec())
-    out_dir = Path(args.out)
-    with _output_errors(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out, ("results.csv", "selected_config.json"))
     task = make_synthetic_task(seed=config.seed, **as_arguments(config.data))
 
     def train_fn(train_config):
@@ -304,11 +309,14 @@ def main(argv=None) -> int:
     except SystemExit as err:  # --help
         return int(err.code or 0)
     try:
-        return args.func(args)
+        # Logit ranges past float64 overflow to -inf shifts, whose exp is
+        # the intended 0; numpy's warning about them is not printed.
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 64
-    except (DataError, IngestionError) as err:
+    except (DataError, IngestionError, FitError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except TrainingDivergedError as err:

@@ -107,17 +107,15 @@ class PredictionSummary:
         return self.probs.shape[1]
 
 
-def _softmax_in_place(z: np.ndarray) -> np.ndarray:
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
-
-
 def entropy_nats(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy per row in nats; 0 * log(0) treated as 0."""
+    """Shannon entropy per row in nats; 0 * log(0) treated as 0.  Summed in
+    blocks of about 65,536 entries, each row by the same reduction as whole."""
     from scipy.special import xlogy  # scipy loads only when entropy is read
-    return -xlogy(probs, probs).sum(axis=1)
+    out = np.empty(probs.shape[0])
+    rows = max(1, 65536 // probs.shape[1])
+    for s in range(0, len(out), rows):
+        xlogy(probs[s:s + rows], probs[s:s + rows]).sum(axis=1, out=out[s:s + rows])
+    return np.negative(out, out=out)
 
 
 def summarize(eval_set: EvalSet, temperature: float = 1.0) -> PredictionSummary:
@@ -132,10 +130,20 @@ def summarize(eval_set: EvalSet, temperature: float = 1.0) -> PredictionSummary:
 def summarize_arrays(logits: np.ndarray, labels: np.ndarray, temperature: float = 1.0) -> PredictionSummary:
     """summarize on a finite float64 N x K logit matrix and N labels in [0, K)
     that the caller has checked, without an EvalSet.  The softmax runs in
-    place in the one new array logits / temperature; logits is never written."""
+    place in the one new array logits / temperature; logits is never written.
+    Rows where that division overflows are shifted first, to their limit."""
     if not np.isfinite(temperature) or temperature <= 0:
         raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-    probs = _softmax_in_place(logits / temperature)
+    probs = logits / temperature
+    top = probs.max(axis=1, keepdims=True)
+    if not np.isfinite(top).all():
+        wide = ~np.isfinite(top[:, 0])
+        rows = logits[wide]
+        probs[wide], top[wide] = (rows - rows.max(axis=1, keepdims=True)) / temperature, 0.0
+    probs -= top
+    del top  # held through the exp it raised recalibrate-50k peak RSS by 6.6 MB (heap layout)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     predicted = np.argmax(probs, axis=1)
     confidence = probs[np.arange(probs.shape[0]), predicted]
     accuracy = (predicted == labels).astype(np.float64)

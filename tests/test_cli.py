@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,9 +13,10 @@ import pytest
 
 import softcal
 import softcal.cli
+import softcal.data
 from softcal import LossSpec
 from softcal.cli import main
-from softcal.data import EvalSet
+from softcal.data import EvalSet, entropy_nats
 from softcal.io import read_logits_csv, write_logits_csv
 from softcal.recalibrate import GRID_POINTS, fit_temperature
 
@@ -417,22 +419,57 @@ def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_pa
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        pytest.param("train", None, id="train"),
+        pytest.param("sweep", None, id="sweep"),
+        *(pytest.param("train", name, id=f"train-{name}-is-a-directory")
+          for name in ("report.json", "model.npz", "test_logits.csv")),
+        *(pytest.param("sweep", name, id=f"sweep-{name}-is-a-directory")
+          for name in ("results.csv", "selected_config.json")),
+    ],
+)
 def test_out_naming_an_existing_file_exits_64_before_training(
-    capsys, monkeypatch, train_config, sweep_inputs, tmp_path, command
+    capsys, monkeypatch, train_config, sweep_inputs, tmp_path, command, output
 ):
+    # Either --out is a file, or one file the command writes is a directory.
     def no_training(*args, **kwargs):
         raise AssertionError("training ran")
 
     monkeypatch.setattr(softcal.cli, "train", no_training)
-    blocker = tmp_path / "file"
-    blocker.write_text("x")
     cfg, grid = sweep_inputs
     inputs = ["--config", cfg, "--grid", grid] if command == "sweep" else ["--config", train_config]
-    code, out, err = run_cli(capsys, command, *inputs, "--out", str(blocker))
+    if output is None:
+        out_dir = blocker = tmp_path / "file"
+        blocker.write_text("x")
+    else:
+        out_dir = tmp_path / "o"
+        blocker = out_dir / output
+        blocker.mkdir(parents=True)
+    code, out, err = run_cli(capsys, command, *inputs, "--out", str(out_dir))
     assert code == 64 and out == ""
     assert err.startswith(f"usage error: cannot write {blocker}:")
-    assert blocker.read_text() == "x"
+    if output is None:
+        assert blocker.read_text() == "x"
+    else:
+        assert list(out_dir.iterdir()) == [blocker] and not any(blocker.iterdir())
+
+
+def test_a_diverging_run_leaves_earlier_outputs_as_they_were(capsys, tmp_path):
+    out_dir = tmp_path / "o"
+    out_dir.mkdir()
+    (out_dir / "report.json").write_text("earlier")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "data": {"n": 128, "splits": [0.25, 0.375, 0.375]},
+        "model": {"hidden": [8]},
+        "train": {"epochs": 2, "batch_size": 32, "learning_rate": 1e300},
+    }))
+    code, _, _ = run_cli(capsys, "train", "--config", str(config), "--out", str(out_dir))
+    assert code == 3
+    assert [p.name for p in out_dir.iterdir()] == ["report.json"]
+    assert (out_dir / "report.json").read_text() == "earlier"
 
 
 def test_a_diverging_run_exits_3(capsys, tmp_path):
@@ -492,6 +529,44 @@ def test_only_commands_that_read_entropy_load_scipy(tmp_path, four_row_csv):
         proc = softcal_subprocess(*argv, code=report)
         assert proc.returncode == 0, (name, proc.stderr)
         assert proc.stdout.splitlines()[-1] == str(loads_scipy), name
+
+
+def test_metrics_releases_the_logits_before_entropy_is_read(monkeypatch, four_row_csv, tmp_path):
+    # Only the summary is needed once it exists; the N x K logits must not
+    # be alive when the entropy temporaries are made.
+    val = tmp_path / "val.csv"
+    val.write_text("1,0.5,2.0\n0,3.0,-1.0\n")
+    refs = []
+
+    def read(path):
+        eval_set = read_logits_csv(path)
+        refs.append((weakref.ref(eval_set), weakref.ref(eval_set.logits)))
+        return eval_set
+
+    def entropy(probs):
+        assert all(ref() is None for pair in refs for ref in pair)
+        return entropy_nats(probs)
+
+    monkeypatch.setattr(softcal.cli, "read_logits_csv", read)
+    monkeypatch.setattr(softcal.data, "entropy_nats", entropy)
+    assert main(["metrics", "--logits", four_row_csv, "--val-logits", str(val)]) == 0
+    assert len(refs) == 2
+
+
+OVERFLOWING_CSV = "1,1e308,-1e308\n0,-1e308,1e308\n1,2.0,1.0\n"
+
+
+def test_logits_past_the_float64_range_print_no_warnings(tmp_path):
+    # Shifts z - max z overflow to -inf, whose exp is the intended 0.  The
+    # nll fit is +inf at every temperature: a data error, not a crash.
+    path = tmp_path / "overflow.csv"
+    path.write_text(OVERFLOWING_CSV)
+    proc = softcal_subprocess("recalibrate", "--val-logits", str(path), "--test-logits", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("data error:")
+    proc = softcal_subprocess("metrics", "--logits", str(path))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["n"] == 3
 
 
 def test_metrics_reads_logits_from_a_pipe(four_row_csv):

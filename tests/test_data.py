@@ -67,6 +67,35 @@ def test_entropy_uniform_and_onehot():
     assert entropy_nats(np.array([[1.0, 0.0]]))[0] == 0.0  # 0 ln 0 = 0
 
 
+def _probs_with_zeros(rng, n, k):
+    p = rng.random((n, k))
+    p /= p.sum(axis=1, keepdims=True)
+    p[0, 0] = p[-1, -1] = 0.0  # 0 ln 0 in the first and the ragged last block
+    return p
+
+
+@pytest.mark.parametrize("shape", [(3 * 6553 + 17, 10), (3, 65537), (64, 2)])
+def test_entropy_in_row_blocks_equals_the_one_pass_sum(shape):
+    # 6,553 rows of 10 fill a 65,536-entry block: three blocks plus a ragged
+    # one; K = 65,537 is one row per block; 64 x 2 is one block.
+    from scipy.special import xlogy
+    p = _probs_with_zeros(np.random.default_rng(6), *shape)
+    np.testing.assert_array_equal(entropy_nats(p), -xlogy(p, p).sum(axis=1))
+
+
+def test_entropy_peak_memory_stays_under_its_output_plus_one_megabyte():
+    import tracemalloc
+    p = _probs_with_zeros(np.random.default_rng(7), 50_000, 10)
+    entropy_nats(p[:2])  # scipy.special imported outside the traced call
+    tracemalloc.start()
+    try:
+        out = entropy_nats(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2**20, peak
+
+
 def test_summary_fields():
     rng = np.random.default_rng(1)
     z = rng.normal(0, 2, size=(40, 5))
@@ -103,6 +132,16 @@ def test_summarize_temperature_equals_predivided_logits():
         np.testing.assert_array_equal(a.probs, b.probs)
         np.testing.assert_array_equal(a.entropy, b.entropy)
         assert a.temperature == t
+
+
+def test_rows_whose_logits_over_t_overflow_take_their_limit():
+    # 1e308 / 0.05 is inf: such rows are shifted before the division.
+    z = np.array([[1e308, 0.0, -1e308], [-1e308, -1e308, -1e308], [1.0, 2.0, 0.5]])
+    with np.errstate(over="ignore"):
+        s = summarize(EvalSet(z, np.array([0, 1, 2])), 0.05)
+    np.testing.assert_array_equal(s.probs[:2], [[1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]])
+    np.testing.assert_array_equal(s.probs[2], summarize(EvalSet(z[2:], np.array([2])), 0.05).probs[0])
+    assert (s.confidence == [1.0, 1 / 3, s.probs[2].max()]).all()
 
 
 def test_summarize_rejects_bad_temperature():
