@@ -3,28 +3,43 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 
 @dataclass
 class MlpModel:
-    """weights[l] has shape (fan_in, fan_out); an empty hidden list gives
-    plain softmax regression."""
+    """params holds every weight matrix in layer order, then every bias;
+    weights[l], of shape (fan_in, fan_out), and biases[l] are views into it,
+    rebuilt on their own params by copies and pickles.  An empty hidden list
+    gives plain softmax regression."""
 
-    weights: list
-    biases: list
+    layer_sizes: list
+    params: np.ndarray
+
+    def __post_init__(self):
+        self.weights, self.biases = self._views(self.params)
+
+    def __reduce__(self):
+        return (MlpModel, (self.layer_sizes, self.params))
+
+    def _views(self, flat: np.ndarray) -> tuple[list, list]:
+        shapes = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        ends = [0, *accumulate([*(fan_in * fan_out for fan_in, fan_out in shapes), *self.layer_sizes[1:]])]
+        if not shapes or flat.shape != (ends[-1],):
+            raise ValueError(f"layer sizes {self.layer_sizes} do not fit a parameter vector of shape {flat.shape}")
+        chunks = [flat[start:end] for start, end in zip(ends, ends[1:])]
+        return [c.reshape(shape) for c, shape in zip(chunks, shapes)], chunks[len(shapes) :]
 
     @classmethod
     def init(cls, layer_sizes: list[int], rng: np.random.Generator) -> "MlpModel":
         """Symmetric uniform init scaled by 1/sqrt(fan_in), biases zero."""
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            weights.append(rng.uniform(-1.0, 1.0, size=(fan_in, fan_out)) / np.sqrt(fan_in))
-            biases.append(np.zeros(fan_out))
-        return cls(weights=weights, biases=biases)
+        sizes = list(layer_sizes)
+        model = cls(sizes, np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))))
+        for w in model.weights:
+            w[...] = rng.uniform(-1.0, 1.0, size=w.shape) / np.sqrt(w.shape[0])
+        return model
 
     @property
     def num_layers(self) -> int:
@@ -52,33 +67,19 @@ class MlpModel:
                 activations.append(a)
         return z, activations
 
-    def backward(
-        self, activations: list[np.ndarray], grad_logits: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Backprop a logit gradient to per-parameter gradients."""
-        grads_w = [None] * self.num_layers
-        grads_b = [None] * self.num_layers
+    def backward(self, activations: list[np.ndarray], grad_logits: np.ndarray) -> np.ndarray:
+        """Backprop a logit gradient to one flat gradient laid out like params."""
+        grad = np.empty_like(self.params)
+        grads_w, grads_b = self._views(grad)
         delta = grad_logits
         for l in range(self.num_layers - 1, -1, -1):
-            grads_w[l] = activations[l].T @ delta
-            grads_b[l] = delta.sum(axis=0)
+            np.matmul(activations[l].T, delta, out=grads_w[l])
+            delta.sum(axis=0, out=grads_b[l])
             if l > 0:
                 # ReLU mask: activations[l] is already the rectified output.
                 delta = (delta @ self.weights[l].T) * (activations[l] > 0)
-        return grads_w, grads_b
+        return grad
 
     def weight_sq_norm(self) -> float:
         """Sum of squared weights; biases are excluded from L2 on purpose."""
         return float(sum((w**2).sum() for w in self.weights))
-
-    def get_params(self) -> np.ndarray:
-        """Flat parameter vector (for finite-difference checks)."""
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
-
-    def set_params(self, flat: np.ndarray) -> None:
-        pos = 0
-        for arr in self.weights + self.biases:
-            arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-        if pos != flat.size:
-            raise ValueError("parameter vector has the wrong length")

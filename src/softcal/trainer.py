@@ -71,19 +71,20 @@ class TrainReport:
 
 def forward_backward(
     model: MlpModel, x: np.ndarray, y: np.ndarray, spec: LossSpec
-) -> tuple[LossValueGrad, list, list]:
-    """Composite loss on one batch plus parameter gradients (L2 included;
-    with lam == 0 the weight norm is skipped and l2_value reads 0.0).  y holds
-    checked labels; non-finite logits raise TrainingDivergedError."""
+) -> tuple[LossValueGrad, np.ndarray]:
+    """Composite loss on one batch plus its gradient, laid out like params
+    (L2 included; with lam == 0 the weight norm is skipped and l2_value reads
+    0.0).  y holds checked labels; non-finite logits raise TrainingDivergedError."""
     logits, activations = model.forward(x)
     if not np.isfinite(logits).all():
         raise TrainingDivergedError("non-finite logits")
     sq_norm = model.weight_sq_norm() if spec.lam != 0.0 else 0.0
     lvg = composite_loss_arrays(logits, y, spec, weight_sq_norm=sq_norm)
-    grads_w, grads_b = model.backward(activations, lvg.grad_logits)
+    grad = model.backward(activations, lvg.grad_logits)
     if spec.lam != 0.0:
-        grads_w = [gw + 2.0 * spec.lam * w for gw, w in zip(grads_w, model.weights)]
-    return lvg, grads_w, grads_b
+        n_weights = sum(w.size for w in model.weights)
+        grad[:n_weights] += 2.0 * spec.lam * model.params[:n_weights]
+    return lvg, grad
 
 
 def _epoch_lr(config: TrainConfig, epoch: int) -> float:
@@ -125,8 +126,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     layer_sizes = [x_train.shape[1], *config.hidden, num_classes]
     model = MlpModel.init(layer_sizes, rng)
-    params = model.weights + model.biases
-    velocity = [np.zeros_like(param) for param in params]
+    velocity = np.zeros_like(model.params)
 
     n = x_train.shape[0]
     report = TrainReport([], [], [], 0, 0.0, 0.0)
@@ -140,7 +140,7 @@ def train(
             for start in range(0, n, config.batch_size):
                 idx = perm[start : start + config.batch_size]
                 try:
-                    lvg, grads_w, grads_b = forward_backward(model, x_train[idx], y_train[idx], config.loss)
+                    lvg, grad = forward_backward(model, x_train[idx], y_train[idx], config.loss)
                 except DegenerateBatchError:
                     report.skipped_batches += 1
                     continue
@@ -148,10 +148,9 @@ def train(
                     raise TrainingDivergedError(f"{err} at epoch {epoch}") from None
                 if not np.isfinite(lvg.value):
                     raise TrainingDivergedError(f"loss became {lvg.value} at epoch {epoch}")
-                for param, vel, grad in zip(params, velocity, grads_w + grads_b):
-                    vel *= MOMENTUM
-                    vel -= lr * grad
-                    param += vel
+                velocity *= MOMENTUM
+                velocity -= lr * grad
+                model.params += velocity
                 batch_losses.append(lvg.value)
 
             model.forward(x_val, out=val_out)

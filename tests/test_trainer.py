@@ -1,6 +1,7 @@
 """Trainer and MLP: gradients, the momentum update, determinism, the sweep."""
 
 import copy
+import pickle
 import sys
 
 import numpy as np
@@ -47,17 +48,29 @@ def test_init_shapes_and_scaling():
         MlpModel.init([4], rng)
 
 
-def test_param_vector_round_trip():
+def test_params_are_the_weights_then_the_biases_and_copies_own_theirs():
     rng = np.random.default_rng(1)
     model = MlpModel.init([2, 4, 3], rng)
-    flat = model.get_params()
-    assert flat.shape == (2 * 4 + 4 * 3 + 4 + 3,)
-    other = MlpModel.init([2, 4, 3], np.random.default_rng(99))
-    other.set_params(flat)
-    for a, b in zip(model.weights + model.biases, other.weights + other.biases):
-        np.testing.assert_array_equal(a, b)
+    for b in model.biases:
+        b[:] = rng.standard_normal(b.shape)
+    assert model.params.shape == (2 * 4 + 4 * 3 + 4 + 3,)
+    np.testing.assert_array_equal(
+        model.params, np.concatenate([a.ravel() for a in model.weights + model.biases])
+    )
+    model.weights[1][2, 1] = 5.0
+    assert model.params[2 * 4 + 2 * 3 + 1] == 5.0
+    original = model.params.copy()
+    for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        np.testing.assert_array_equal(twin.params, original)
+        twin.params[:] = -np.arange(twin.params.size)
+        np.testing.assert_array_equal(
+            np.concatenate([a.ravel() for a in twin.weights + twin.biases]), twin.params
+        )
+        np.testing.assert_array_equal(model.params, original)
+        for view in (twin.params, *twin.weights, *twin.biases):
+            assert not np.shares_memory(view, model.params)
     with pytest.raises(ValueError):
-        other.set_params(flat[:-1])
+        MlpModel([2, 4, 3], original[:-1])
 
 
 def test_no_hidden_layer_is_softmax_regression():
@@ -66,12 +79,13 @@ def test_no_hidden_layer_is_softmax_regression():
     x = rng.standard_normal((20, 3))
     y = rng.integers(0, 4, size=20)
     model = MlpModel.init([3, 4], rng)
-    lvg, grads_w, grads_b = forward_backward(model, x, y, LossSpec())
+    lvg, grad = forward_backward(model, x, y, LossSpec())
+    grads = MlpModel(model.layer_sizes, grad)
 
     p = softmax_rows(x @ model.weights[0] + model.biases[0])
     onehot = np.eye(4)[y]
-    np.testing.assert_allclose(grads_w[0], x.T @ (p - onehot) / 20, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(grads_b[0], (p - onehot).sum(axis=0) / 20, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(grads.weights[0], x.T @ (p - onehot) / 20, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(grads.biases[0], (p - onehot).sum(axis=0) / 20, rtol=0, atol=1e-14)
 
 
 def test_l2_hits_weights_only():
@@ -81,11 +95,11 @@ def test_l2_hits_weights_only():
     model = MlpModel.init([2, 6, 3], rng)
     model.biases[0][:] = rng.standard_normal(6)
 
-    _, gw0, gb0 = forward_backward(model, x, y, LossSpec(lam=0.0))
-    _, gw1, gb1 = forward_backward(model, x, y, LossSpec(lam=0.01))
-    for a, b, w in zip(gw0, gw1, model.weights):
+    g0, g1 = (MlpModel(model.layer_sizes, forward_backward(model, x, y, LossSpec(lam=lam))[1])
+              for lam in (0.0, 0.01))
+    for a, b, w in zip(g0.weights, g1.weights, model.weights):
         np.testing.assert_allclose(b - a, 2 * 0.01 * w, rtol=0, atol=1e-15)
-    for a, b in zip(gb0, gb1):
+    for a, b in zip(g0.biases, g1.biases):
         np.testing.assert_array_equal(a, b)
 
 
@@ -112,12 +126,11 @@ def test_parameter_gradients_match_finite_differences():
 
     def loss_of(flat):
         m = copy.deepcopy(model)
-        m.set_params(np.asarray(flat, dtype=np.float64))
+        m.params[:] = np.asarray(flat, dtype=np.float64)
         return forward_backward(m, x, y, spec)[0].value
 
-    _, grads_w, grads_b = forward_backward(model, x, y, spec)
-    analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
-    numeric = np.asarray(fd_grad(loss_of, model.get_params()), dtype=np.float64)
+    _, analytic = forward_backward(model, x, y, spec)
+    numeric = np.asarray(fd_grad(loss_of, model.params.copy()), dtype=np.float64)
     assert max_rel_err(analytic, numeric) < 1e-4
 
 
@@ -168,7 +181,7 @@ def test_zero_lam_skips_the_weight_norm_only():
     y = rng.integers(0, 3, size=12)
     model = MlpModel.init([2, 6, 3], rng)
     spec = LossSpec(secondary="sb-ece", beta=0.5)
-    lvg, _, _ = forward_backward(model, x, y, spec)
+    lvg, _ = forward_backward(model, x, y, spec)
     full = composite_loss(model.forward(x)[0], y, spec, weight_sq_norm=model.weight_sq_norm())
     assert lvg.value == full.value and lvg.l2_value == 0.0
     np.testing.assert_array_equal(lvg.grad_logits, full.grad_logits)
@@ -214,7 +227,7 @@ def test_train_is_deterministic_and_report_is_consistent():
     model_a, rep_a = train((task.x_train, task.y_train), (task.x_val, task.y_val), cfg)
     model_b, rep_b = train((task.x_train, task.y_train), (task.x_val, task.y_val), cfg)
     assert rep_a == rep_b
-    np.testing.assert_array_equal(model_a.get_params(), model_b.get_params())
+    np.testing.assert_array_equal(model_a.params, model_b.params)
 
     summary = summarize(EvalSet(model_a.forward(task.x_val)[0], task.y_val))
     assert rep_a.final_val_accuracy == float(summary.accuracy.mean())
