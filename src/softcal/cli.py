@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -48,15 +49,14 @@ def _emit_json(doc: dict) -> None:
 
 
 def _resolve_seed(flag_seed, config_seed: int) -> int:
-    if flag_seed is not None:
-        return int(flag_seed)
     env = os.environ.get("CALREF_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"CALREF_SEED must be an integer, got {env!r}") from None
-    return config_seed
+    source, value = ("--seed", flag_seed) if flag_seed is not None else ("CALREF_SEED", env)
+    if value is None:
+        return config_seed
+    with suppress(ValueError):
+        if int(value) >= 0:
+            return int(value)
+    raise UsageError(f"{source} must be a non-negative integer, got {value!r}")
 
 
 @contextmanager
@@ -310,9 +310,14 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         # Logit ranges past float64 overflow to -inf shifts, whose exp is
-        # the intended 0; numpy's warning about them is not printed.
-        with np.errstate(over="ignore"):
-            return args.func(args)
+        # the intended 0; numpy's warning about them is not printed.  Other
+        # warnings are printed once each, and only if the command succeeds.
+        with np.errstate(over="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = args.func(args)
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
+        return code
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 64

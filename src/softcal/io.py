@@ -201,12 +201,9 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     unknown = set(doc) - set(_TOP_KEYS)
     if unknown:
         raise UsageError(f"unknown top-level config key(s): {sorted(unknown)}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise UsageError(f"seed must be an integer, got {seed!r}")
     try:
         cfg = RunConfig(
-            seed=seed,
+            seed=doc.get("seed", 0),
             data=_merge_section("data", doc.get("data", {}), _DATA_DEFAULTS),
             model=_merge_section("model", doc.get("model", {}), _MODEL_DEFAULTS),
             train=_merge_section("train", doc.get("train", {}), _TRAIN_DEFAULTS),

@@ -70,7 +70,7 @@ class LossSpec:
             warnings.warn(
                 f"beta = {self.beta} with secondary = {self.secondary!r}: the "
                 "secondary term is inert or unweighted",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

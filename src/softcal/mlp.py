@@ -28,7 +28,7 @@ class MlpModel:
         shapes = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         ends = [0, *accumulate([*(fan_in * fan_out for fan_in, fan_out in shapes), *self.layer_sizes[1:]])]
         if not shapes or flat.shape != (ends[-1],):
-            raise ValueError(f"layer sizes {self.layer_sizes} do not fit a parameter vector of shape {flat.shape}")
+            raise ValueError(f"layer sizes {self.layer_sizes} do not fit parameters of shape {flat.shape}")
         chunks = [flat[start:end] for start, end in zip(ends, ends[1:])]
         return [c.reshape(shape) for c, shape in zip(chunks, shapes)], chunks[len(shapes) :]
 

@@ -54,9 +54,9 @@ class TrainConfig:
                             *(("hidden width", width) for width in self.hidden)):
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        for epoch in self.lr_drop_epochs:
-            if not isinstance(epoch, numbers.Integral) or isinstance(epoch, bool) or epoch < 0:
-                raise ValueError(f"lr_drop_epochs must be non-negative integers, got {epoch!r}")
+        for name, value in (("seed", self.seed), *(("lr_drop_epochs entry", e) for e in self.lr_drop_epochs)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass

@@ -350,6 +350,44 @@ def test_seed_precedence_flag_env_config(capsys, train_config, tmp_path, monkeyp
     assert code == 64 and "CALREF_SEED" in err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("source", ["config", "flag", "env"])
+def test_a_negative_seed_exits_64_before_the_output_directory_is_made(
+    capsys, monkeypatch, sweep_inputs, tmp_path, command, source
+):
+    cfg, grid = sweep_inputs
+    doc = json.loads(Path(cfg).read_text())
+    if source == "config":
+        doc["seed"] = -1
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "o"
+    argv = [command, "--config", str(config), "--out", str(out_dir)]
+    argv += ["--grid", grid] if command == "sweep" else []
+    argv += ["--seed", "-5"] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("CALREF_SEED", "-3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("usage error:") and "non-negative integer" in err
+    assert not out_dir.exists()
+
+
+def test_warnings_are_printed_once_each_on_success(capsys, tmp_path):
+    inert = "beta = 0.0 with secondary = 'sb-ece': the secondary term is inert or unweighted"
+    config = tmp_path / "run.json"
+    doc = {"data": {"n": 120}, "model": {"hidden": [4]}, "train": {"epochs": 1}, "loss": {"secondary": "sb-ece"}}
+    config.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "t"))
+    assert code == 0 and err == f"warning: {inert}\n"
+
+    # The base spec and the grid's first candidate warn alike; one line is printed.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"beta": [0.0, 1.0]}))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--grid", str(grid), "--out", str(tmp_path / "s"))
+    assert code == 0 and err == f"warning: {inert}\n"
+
+
 def test_train_config_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"trian": {}}')
@@ -507,6 +545,15 @@ def test_a_diverging_run_writes_one_stderr_line_in_a_fresh_process(tmp_path):
     proc = softcal_subprocess("train", "--config", str(config), "--out", str(tmp_path / "o"))
     assert proc.returncode == 3 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("training diverged:")
+
+
+def test_a_failing_run_prints_its_error_line_and_no_warning_in_a_fresh_process(tmp_path):
+    # The config warns that its secondary is inert before epochs = 0 is refused.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"train": {"epochs": 0}, "loss": {"secondary": "sb-ece"}}))
+    proc = softcal_subprocess("train", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("usage error:"), proc.stderr
 
 
 def test_only_commands_that_read_entropy_load_scipy(tmp_path, four_row_csv):

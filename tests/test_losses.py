@@ -25,6 +25,8 @@ def test_loss_spec_warns_on_inconsistent_beta():
         LossSpec(secondary="sb-ece", beta=0.0)
         LossSpec(secondary="none", beta=2.0)
     assert len(w) == 2
+    # The warning names the line that built the spec, not dataclass internals.
+    assert [x.filename for x in w] == [__file__, __file__]
 
 
 def test_nll_value_and_gradient():
