@@ -164,9 +164,10 @@ def test_train_and_sweep_exit_0_2_3_or_64_with_one_line_of_reason(command, data)
             argv += ["--grid", str(root / "grid.json")]
         argv += data.draw(st.one_of(st.just([]), SEED_TEXT.map(lambda v: ["--seed", v])), label="flag")
         env = data.draw(st.one_of(st.none(), SEED_TEXT), label="CALREF_SEED")
-        with mock.patch.dict(os.environ, {"CALREF_SEED": env or ""}):
-            if env is None:
-                del os.environ["CALREF_SEED"]
+        with mock.patch.dict(os.environ):
+            os.environ.pop("CALREF_SEED", None)
+            if env is not None:
+                os.environ["CALREF_SEED"] = env
             code, out, err, caught = run(argv)
         assert [str(w.message) for w in caught] == []
         assert code in (0, 2, 3, 64) and "internal error" not in err, err
