@@ -68,7 +68,7 @@ class LossSpec:
             raise ValueError(f"kappa must lie in (0, 1) for s-avuc, got {self.kappa}")
         if (self.beta == 0) != (self.secondary == "none"):
             warnings.warn(
-                f"beta = {self.beta} with secondary = {self.secondary!r}: the "
+                f"beta = {float(self.beta)} with secondary = {self.secondary!r}: the "
                 "secondary term is inert or unweighted",
                 stacklevel=3,
             )

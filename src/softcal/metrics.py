@@ -35,10 +35,11 @@ _MASS_FLOOR = 1e-30
 @dataclass(frozen=True)
 class BinStats:
     """Per-bin mass and means. mean_conf/mean_acc are NaN for empty hard bins
-    and must not be consumed there; size is a float because soft mass is."""
+    and must not be consumed there; size is a float because soft mass is.
+    mean_conf is None in soft label-binned reports, which never read it."""
 
     size: np.ndarray
-    mean_conf: np.ndarray
+    mean_conf: np.ndarray | None
     mean_acc: np.ndarray
 
 
@@ -162,7 +163,7 @@ def _sb_ece_forward(
     s = u.sum(axis=1)
     sf = np.maximum(s, _MASS_FLOOR)
     # einsum rather than BLAS, whose threads spin-wait when the cores are busy.
-    mean_conf = np.einsum("mn,n->m", u, confidence) / sf
+    mean_conf = np.einsum("mn,n->m", u, confidence) / sf if mode == BINNED else None
     mean_acc = np.einsum("mn,n->m", u, accuracy) / sf
     stats = BinStats(size=s, mean_conf=mean_conf, mean_acc=mean_acc)
     n = confidence.shape[0]
@@ -171,8 +172,11 @@ def _sb_ece_forward(
         r = ((stats.size / n) * gap**p).sum()
     else:
         d = np.subtract.outer(stats.mean_acc, confidence, out=d_out)
-        np.abs(d, out=d)
-        d **= p
+        if p == 2.0:
+            np.square(d, out=d)  # |x|^2 is x^2 bit for bit
+        else:
+            np.abs(d, out=d)
+            d **= p
         d *= u
         r = d.sum() / n
     return r, u, stats

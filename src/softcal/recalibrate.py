@@ -115,6 +115,17 @@ def brent_minimize(
     return x, fx, evals
 
 
+def _exp_row_sum(shifts: np.ndarray, t: float, row: np.ndarray) -> np.ndarray:
+    """s(t) = sum_k exp(shifts[k] / t) for (K, N) shifts, one class row at a
+    time through the N-vector row, added in the order sum(axis=0) adds them."""
+    if shifts.shape[1] == 1:  # sum(axis=0) adds a single column pairwise
+        return np.exp(shifts / t).sum(axis=0)
+    s = np.exp(np.divide(shifts[0], t, out=row))
+    for z in shifts[1:]:
+        s += np.exp(np.divide(z, t, out=row), out=row)
+    return s
+
+
 def _objective_fn(
     val_set: EvalSet,
     objective: str,
@@ -125,31 +136,23 @@ def _objective_fn(
     logits = val_set.logits
     # Always a copy: the in-place subtraction must not reach the caller's logits.
     shifts = np.array(logits.T, order="C")  # (K, N), entries <= 0
-    shifts -= logits.max(axis=1)
-    (k, n), m = shifts.shape, sb_spec.num_bins
-    # norm's exp(shifts / t) is dead once it returns, so the SB-ECE gaps
-    # that follow it reuse its rows: one (max(K, M), N) array serves both.
-    scratch = np.empty((max(k, m) if objective == "sb-ece" else k, n))
-    buf = scratch[:k]
-
-    def norm(t: float) -> np.ndarray:
-        """s(t) per example; the top class contributes exp(0) = 1."""
-        np.divide(shifts, t, out=buf)
-        np.exp(buf, out=buf)
-        return buf.sum(axis=0)
+    shifts -= shifts.max(axis=0)
+    n, m = shifts.shape[1], sb_spec.num_bins
+    row = np.empty(n)
 
     if objective == "nll":
         shift_y = shifts[val_set.labels, np.arange(n)]
 
         def fn(t: float) -> float:
-            return float(np.mean(np.log(norm(t)) - shift_y / t))
+            return float(np.mean(np.log(_exp_row_sum(shifts, t, row)) - shift_y / t))
     else:
         accuracy = (np.argmax(logits, axis=1) == val_set.labels).astype(np.float64)
         # Membership and gap buffers, filled in place by every evaluation.
-        pair = (np.empty((m, n)), scratch[:m])
+        pair = (np.empty((m, n)), np.empty((m, n)))
 
         def fn(t: float) -> float:
-            return sb_ece_arrays(1.0 / norm(t), accuracy, sb_spec, p=p, mode=mode, out=pair).value
+            conf = 1.0 / _exp_row_sum(shifts, t, row)
+            return sb_ece_arrays(conf, accuracy, sb_spec, p=p, mode=mode, out=pair).value
     return fn
 
 
@@ -174,13 +177,8 @@ def fit_temperature(
 
     grid = np.exp(np.linspace(np.log(T_MIN), np.log(T_MAX), GRID_POINTS))
     grid[0], grid[-1] = T_MIN, T_MAX  # exp(log(t)) misses both ends in the last bit
-    trace: list[tuple[float, float]] = []
-    values = []
-    for t in grid:
-        v = float(fn(t))
-        trace.append((float(t), v))
-        values.append(v)
-    values = np.asarray(values)
+    trace = [(float(t), float(fn(t))) for t in grid]
+    values = np.array([v for _, v in trace])
     if not np.isfinite(values).any():
         raise FitError("objective non-finite at every grid temperature")
     best = int(np.nanargmin(np.where(np.isfinite(values), values, np.nan)))

@@ -388,6 +388,17 @@ def test_warnings_are_printed_once_each_on_success(capsys, tmp_path):
     assert code == 0 and err == f"warning: {inert}\n"
 
 
+def test_an_integer_grid_beta_warns_as_the_config_float_does(capsys, tmp_path):
+    # The config's default beta 0.0 and the grid's 0 are one condition: one line.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"data": {"n": 200}, "train": {"epochs": 1}, "loss": {"secondary": "sb-ece"}}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"beta": [0, 1]}))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--grid", str(grid), "--out", str(tmp_path / "s"))
+    assert code == 0
+    assert err == "warning: beta = 0.0 with secondary = 'sb-ece': the secondary term is inert or unweighted\n"
+
+
 def test_train_config_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"trian": {}}')

@@ -21,6 +21,7 @@ from softcal import (
     summarize,
     sb_ece_confidence_grad,
 )
+from softcal.binning import soft_membership
 from softcal.metrics import sb_ece_arrays
 
 
@@ -203,6 +204,16 @@ def test_sb_ece_arrays_into_reused_buffers_matches_a_fresh_call(mode, p):
         assert got.value == want.value
         for field in ("size", "mean_conf", "mean_acc"):
             np.testing.assert_array_equal(getattr(got.bin_stats, field), getattr(want.bin_stats, field))
+
+
+def test_only_binned_soft_reports_carry_the_bin_mean_confidence():
+    rng = np.random.default_rng(21)
+    s = summarize(EvalSet(*random_batch(rng, n_lo=64, n_hi=64)))
+    spec = SoftBinningSpec(num_bins=10, temperature=0.05)
+    assert sb_ece(s, spec, mode=LABEL_BINNED).bin_stats.mean_conf is None
+    u = soft_membership(s.confidence, spec)  # (N, M)
+    want = (u * s.confidence[:, None]).sum(axis=0) / u.sum(axis=0)
+    np.testing.assert_allclose(sb_ece(s, spec, mode=BINNED).bin_stats.mean_conf, want, rtol=1e-12)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")

@@ -18,7 +18,7 @@ from softcal import (
     summarize,
 )
 from softcal.metrics import LABEL_BINNED
-from softcal.recalibrate import GRID_POINTS, REFINE_TOL, T_MAX, T_MIN, _objective_fn, brent_minimize
+from softcal.recalibrate import GRID_POINTS, REFINE_TOL, T_MAX, T_MIN, _exp_row_sum, _objective_fn, brent_minimize
 
 
 def scaled_posterior_set(rng, n, k, scale, spread=1.5):
@@ -200,6 +200,19 @@ def test_fit_leaves_input_logits_unchanged(objective, layout):
     fit_temperature(es, objective=objective)
     np.testing.assert_array_equal(logits, before)
     np.testing.assert_array_equal(es.logits, before)
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 16, 100, 257])
+@pytest.mark.parametrize("n", [1, 7, 4097])
+def test_row_accumulated_normalizer_is_the_axis_0_sum_bit_for_bit(k, n):
+    # The fit adds exp(shifts / t) one class row at a time; t* stays the same
+    # only while numpy's sum(axis=0) adds the rows in that order too.
+    rng = np.random.default_rng(1000 * k + n)
+    z = rng.normal(0.0, 3.0, size=(k, n))
+    shifts = z - z.max(axis=0)
+    for t in (0.05, 1.0, 10.0):
+        got = _exp_row_sum(shifts, t, np.empty(n))
+        np.testing.assert_array_equal(got, np.exp(shifts / t).sum(axis=0))
 
 
 def test_fit_pinned_at_t_max_reports_at_bound():
