@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PredictionSummary
+from .data import PredictionSummary, check_real
 from .metrics import confidence_logit_jacobian, entropy_logit_jacobian
 
 # Normalized entropy is clamped to this interval before the log-odds.
@@ -47,12 +47,9 @@ class AvucSpec:
     gradient_stopping: bool = False
 
     def __post_init__(self):
-        if not np.isfinite(self.kappa) or self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0 and finite, got {self.kappa}")
-        if self.temperature is not None and (
-            not np.isfinite(self.temperature) or self.temperature <= 0
-        ):
-            raise ValueError(f"S-AvUC soft_temperature must be > 0 and finite, got {self.temperature}")
+        check_real("kappa", self.kappa, 0, strict=True)
+        if self.temperature is not None:
+            check_real("soft_temperature", self.temperature, 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -81,10 +78,8 @@ def soft_uncertainty(hstar, kappa: float, temperature: float):
     kappa = 0.5, T = 1 gives the identity t(h*) = h*.
     """
     from scipy.special import expit  # scipy loads only for the AvUC family
-    if not (0.0 < kappa < 1.0):
-        raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    if not np.isfinite(temperature) or temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    check_real("kappa", kappa, 0, 1, strict=True)
+    check_real("temperature", temperature, 0, strict=True)
     h = np.clip(np.asarray(hstar, dtype=np.float64), _HSTAR_LO, _HSTAR_HI)
     # Writing the argument as a difference of identical expressions makes
     # t(kappa) exactly 0.5 in floating point.

@@ -9,19 +9,15 @@ hard equal-width assignment away from bin boundaries.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_choice, check_int, check_real
+
 EQUAL_WIDTH = "equal-width"
 EQUAL_MASS = "equal-mass"
-_SCHEMES = (EQUAL_WIDTH, EQUAL_MASS)
-
-
-def _check_num_bins(num_bins) -> None:
-    if not isinstance(num_bins, numbers.Integral) or isinstance(num_bins, bool) or num_bins < 1:
-        raise ValueError(f"num_bins must be a positive integer, got {num_bins!r}")
+SCHEMES = (EQUAL_WIDTH, EQUAL_MASS)
 
 
 @dataclass(frozen=True)
@@ -30,9 +26,8 @@ class BinningSpec:
     num_bins: int = 15
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        _check_num_bins(self.num_bins)
+        check_choice("scheme", self.scheme, SCHEMES)
+        check_int("num_bins", self.num_bins, 1)
 
 
 @dataclass(frozen=True)
@@ -43,9 +38,8 @@ class SoftBinningSpec:
     temperature: float = 0.01
 
     def __post_init__(self):
-        _check_num_bins(self.num_bins)
-        if not np.isfinite(self.temperature) or self.temperature <= 0:
-            raise ValueError(f"bin temperature must be > 0 and finite, got {self.temperature}")
+        check_int("num_bins", self.num_bins, 1)
+        check_real("bin_temperature", self.temperature, 0, strict=True)
 
     @property
     def centers(self) -> np.ndarray:

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import BinningSpec, SoftBinningSpec
-from .data import EvalSet, IngestionError, summarize
+from .binning import SCHEMES, BinningSpec, SoftBinningSpec
+from .data import EvalSet, IngestionError, check_real, summarize
 from .io import (
     DataError,
     UsageError,
@@ -33,8 +33,8 @@ from .io import (
     write_logits_csv,
 )
 from .losses import LossSpec
-from .metrics import check_p, ece, eval_convention_ece, reliability_table, sb_ece
-from .recalibrate import FitError, fit_temperature
+from .metrics import BINNED, LABEL_BINNED, MODES, ece, eval_convention_ece, reliability_table, sb_ece
+from .recalibrate import OBJECTIVES, FitError, fit_temperature
 from .synthetic import make_synthetic_task
 from .trainer import SWEEP_ORDER, TrainingDivergedError, train, sweep_one_at_a_time
 
@@ -110,7 +110,7 @@ def _metrics_block(path: str, spec: BinningSpec | SoftBinningSpec, args) -> dict
 
 def cmd_metrics(args) -> int:
     with _flag_errors():
-        check_p(args.p)
+        check_real("p", args.p, 1)
         hard = BinningSpec(scheme=args.scheme, num_bins=args.bins)
         soft = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
     spec = soft if args.soft else hard
@@ -135,7 +135,7 @@ def cmd_reliability(args) -> int:
 
 def cmd_recalibrate(args) -> int:
     with _flag_errors():
-        check_p(args.p)
+        check_real("p", args.p, 1)
         sb_spec = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
     val_set = read_logits_csv(args.val_logits)
     test_set = read_logits_csv(args.test_logits)
@@ -199,9 +199,7 @@ def _load_grid(path: str, loss: LossSpec) -> dict:
     if unknown:
         raise UsageError(f"unknown sweep parameter(s): {sorted(unknown)}")
     for key, values in doc.items():
-        if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-        ):
+        if not isinstance(values, list):
             raise UsageError(f"grid for {key!r} must be a list of numbers")
         for value in values:
             try:
@@ -244,19 +242,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_binning_flags(parser, default_mode: str, default_scheme: str = "equal-mass") -> None:
-    parser.add_argument("--bins", type=int, default=15, help="number of bins M")
-    parser.add_argument("--p", type=float, default=2.0, help="l_p norm exponent")
-    parser.add_argument(
-        "--mode", choices=("binned", "label-binned"), default=default_mode, help="reduction mode"
-    )
-    parser.add_argument(
-        "--bin-temp", type=float, default=0.01, help="soft binning temperature"
-    )
-    if default_scheme is not None:
+def _add_binning_flags(parser, default_mode: str | None = None, scheme: bool = True) -> None:
+    """--bins and, if scheme, --scheme; with a default_mode also --p, --mode
+    and --bin-temp.  Bins, scheme and bin temperature default as the specs do."""
+    parser.add_argument("--bins", type=int, default=BinningSpec.num_bins, help="number of bins M")
+    if scheme:
+        parser.add_argument("--scheme", choices=SCHEMES, default=BinningSpec.scheme, help="hard binning scheme")
+    if default_mode is not None:
+        parser.add_argument("--p", type=float, default=2.0, help="l_p norm exponent")
+        parser.add_argument("--mode", choices=MODES, default=default_mode, help="reduction mode")
         parser.add_argument(
-            "--scheme", choices=("equal-mass", "equal-width"), default=default_scheme,
-            help="hard binning scheme",
+            "--bin-temp", type=float, default=SoftBinningSpec.temperature, help="soft binning temperature"
         )
 
 
@@ -268,21 +264,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logits", required=True, help="logits CSV (label,z1,...,zK)")
     p.add_argument("--val-logits", help="optional second logits CSV reported under 'val'")
     p.add_argument("--soft", action="store_true", help="report SB-ECE instead of hard ECE")
-    _add_binning_flags(p, default_mode="binned")
+    _add_binning_flags(p, default_mode=BINNED)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("reliability", help="reliability table as CSV on stdout")
     p.add_argument("--logits", required=True)
-    p.add_argument("--bins", type=int, default=15)
-    p.add_argument("--scheme", choices=("equal-mass", "equal-width"), default="equal-mass")
+    _add_binning_flags(p)
     p.set_defaults(func=cmd_reliability)
 
     p = sub.add_parser("recalibrate", help="fit a scaling temperature on validation logits")
     p.add_argument("--val-logits", required=True)
     p.add_argument("--test-logits", required=True)
-    p.add_argument("--objective", choices=("nll", "sb-ece"), default="nll")
+    p.add_argument("--objective", choices=OBJECTIVES, default=OBJECTIVES[0])
     p.add_argument("--trace", help="optional CSV path for the (t, objective) trace")
-    _add_binning_flags(p, default_mode="label-binned", default_scheme=None)
+    _add_binning_flags(p, default_mode=LABEL_BINNED, scheme=False)
     p.set_defaults(func=cmd_recalibrate)
 
     p = sub.add_parser("train", help="train an MLP on a synthetic task from a config")

@@ -8,6 +8,9 @@ argmax ties broken toward the lowest class index.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +19,37 @@ import numpy as np
 
 class IngestionError(ValueError):
     """Logits or labels failed validation on ingestion."""
+
+
+# The one rule for a scalar setting: a bool or a string is never a number, a
+# numpy scalar is, and a refusal is a ValueError that names the field.  The
+# builtin types come first in each isinstance tuple, so they skip the slower
+# numbers ABC lookup on the per-batch checks.
+
+def check_int(name: str, value, least: int):
+    """value, if it is an integer >= least."""
+    if isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool) and value >= least:
+        return value
+    rule = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_real(name: str, value, lo, hi=math.inf, strict: bool = False, suffix: str = ""):
+    """value, if it is a real in [lo, hi], or in (lo, hi) when strict, that
+    float64 holds finitely; suffix follows the rule in the error message."""
+    real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+    finite = real and (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))
+    if finite and (lo < value < hi if strict else lo <= value <= hi):
+        return value
+    rule = (f"be {'>' if strict else '>='} {lo}" if hi == math.inf
+            else f"lie in {'(' if strict else '['}{lo}, {hi}{')' if strict else ']'}")
+    raise ValueError(f"{name} must {rule}{suffix}, got {value!r}" + ("" if real else " (not a number)"))
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """Refuse value unless it is one of the strings in choices."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def check_labels(labels, n: int) -> np.ndarray:
@@ -132,8 +166,7 @@ def summarize_arrays(logits: np.ndarray, labels: np.ndarray, temperature: float 
     that the caller has checked, without an EvalSet.  The softmax runs in
     place in the one new array logits / temperature; logits is never written.
     Rows where that division overflows are shifted first, to their limit."""
-    if not np.isfinite(temperature) or temperature <= 0:
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    check_real("temperature", temperature, 0, strict=True)
     probs = logits / temperature
     top = probs.max(axis=1, keepdims=True)
     if not np.isfinite(top).all():

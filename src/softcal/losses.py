@@ -8,7 +8,7 @@ so its gradient is the trainer's job and only its value appears here.
 
 from __future__ import annotations
 
-import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -16,15 +16,11 @@ import numpy as np
 
 from .avuc import AvucSpec, avuc_grad, s_avuc_grad
 from .binning import SoftBinningSpec
-from .data import EvalSet, PredictionSummary, summarize_arrays
-from .metrics import BINNED, LABEL_BINNED, check_p, sb_ece_grad
+from .data import EvalSet, PredictionSummary, check_choice, check_real, summarize_arrays
+from .metrics import LABEL_BINNED, MODES, sb_ece_grad
 
 PRIMARIES = ("nll", "focal", "mse")
 SECONDARIES = ("none", "sb-ece", "avuc", "avuc-gs", "s-avuc")
-
-
-def _finite_nonnegative(value) -> bool:
-    return isinstance(value, numbers.Real) and 0 <= value < np.inf
 
 
 @dataclass(frozen=True)
@@ -50,27 +46,25 @@ class LossSpec:
     soft_temperature: float = 1.0
 
     def __post_init__(self):
-        if self.primary not in PRIMARIES:
-            raise ValueError(f"primary must be one of {PRIMARIES}, got {self.primary!r}")
-        if self.secondary not in SECONDARIES:
-            raise ValueError(f"secondary must be one of {SECONDARIES}, got {self.secondary!r}")
-        if not _finite_nonnegative(self.gamma):
-            raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma!r}")
-        if not (_finite_nonnegative(self.beta) and _finite_nonnegative(self.lam)):
-            raise ValueError(f"beta and lam must be >= 0 and finite, got {self.beta!r} and {self.lam!r}")
-        if self.mode not in (BINNED, LABEL_BINNED):
-            raise ValueError(f"mode must be binned or label-binned, got {self.mode!r}")
-        check_p(self.p)
+        check_choice("primary", self.primary, PRIMARIES)
+        check_choice("secondary", self.secondary, SECONDARIES)
+        for name in ("gamma", "beta", "lam"):
+            check_real(name, getattr(self, name), 0)
+        check_choice("mode", self.mode, MODES)
+        check_real("p", self.p, 1)
         SoftBinningSpec(num_bins=self.bins, temperature=self.bin_temperature)
         AvucSpec(kappa=self.kappa, temperature=self.soft_temperature)
-        if self.secondary == "s-avuc" and not self.kappa < 1:
+        if self.secondary == "s-avuc":
             # S-AvUC thresholds normalized entropy, which lies in [0, 1].
-            raise ValueError(f"kappa must lie in (0, 1) for s-avuc, got {self.kappa}")
+            check_real("kappa", self.kappa, 0, 1, strict=True, suffix=" for s-avuc")
         if (self.beta == 0) != (self.secondary == "none"):
+            level = 3  # the caller of __init__, or of dataclasses.replace if that called it
+            while sys._getframe(level - 1).f_globals.get("__name__") == "dataclasses":
+                level += 1
             warnings.warn(
                 f"beta = {float(self.beta)} with secondary = {self.secondary!r}: the "
                 "secondary term is inert or unweighted",
-                stacklevel=3,
+                stacklevel=level,
             )
 
 
@@ -100,8 +94,7 @@ def nll(summary: PredictionSummary, labels: np.ndarray) -> tuple[float, np.ndarr
 
 def focal(summary: PredictionSummary, labels: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
     """Mean focal loss -(1 - p_y)^gamma log p_y."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    check_real("gamma", gamma, 0)
     n = summary.n
     rows = np.arange(n)
     p_y = summary.probs[rows, labels]

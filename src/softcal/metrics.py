@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import BinningSpec, SoftBinningSpec, assign_hard, membership_derivative, soft_membership
-from .data import PredictionSummary
+from .data import PredictionSummary, check_choice, check_real
 
 BINNED = "binned"
 LABEL_BINNED = "label-binned"
-_MODES = (BINNED, LABEL_BINNED)
+MODES = (BINNED, LABEL_BINNED)
 
 # Mass floor used before dividing by soft bin mass; memberships are strictly
 # positive so this only guards pathological underflow.
@@ -54,20 +54,6 @@ class EceReport:
     bin_stats: BinStats
 
 
-def check_p(p: float) -> float:
-    """The l_p exponent as a float; raises ValueError unless finite and >= 1."""
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    return p
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    return mode
-
-
 def bin_stats_hard(summary: PredictionSummary, spec: BinningSpec) -> tuple[BinStats, np.ndarray]:
     """Counts and means per hard bin, and the bin index of each example.
     Empty bins get size 0 and NaN means."""
@@ -89,8 +75,8 @@ def ece(
     mode: str = BINNED,
 ) -> EceReport:
     """Hard-binned expected calibration error with an l_p reduction."""
-    p = check_p(p)
-    mode = _check_mode(mode)
+    p = float(check_real("p", p, 1))
+    check_choice("mode", mode, MODES)
     stats, bin_index = bin_stats_hard(summary, spec)
     n = summary.n
     occupied = stats.size > 0
@@ -137,8 +123,8 @@ def sb_ece_arrays(
     size then allocates no (M, N) array, and the next call overwrites both.
     The value is bit-identical to a call without out.
     """
-    p = check_p(p)
-    mode = _check_mode(mode)
+    p = float(check_real("p", p, 1))
+    check_choice("mode", mode, MODES)
     r, _, stats = _sb_ece_forward(confidence, accuracy, spec, p, mode, out)
     return EceReport(
         value=float(r ** (1.0 / p)),
@@ -198,8 +184,8 @@ def sb_ece_confidence_grad(
     Accuracies are constants; memberships, bin masses and bin means are all
     functions of the confidences and are differentiated exactly.
     """
-    p = check_p(p)
-    mode = _check_mode(mode)
+    p = float(check_real("p", p, 1))
+    check_choice("mode", mode, MODES)
     c = summary.confidence
     a = summary.accuracy
     n = summary.n

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .binning import SoftBinningSpec
-from .data import EvalSet
+from .data import EvalSet, check_choice
 from .metrics import LABEL_BINNED, sb_ece_arrays
 
 OBJECTIVES = ("nll", "sb-ece")
@@ -169,8 +169,7 @@ def fit_temperature(
     soft-binned ECE of the post-temperature confidences (defaults: 15 bins,
     bin temperature 0.01, p = 2, label-binned).
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    check_choice("objective", objective, OBJECTIVES)
     if sb_spec is None:
         sb_spec = SoftBinningSpec()
     fn = _objective_fn(val_set, objective, sb_spec, p, mode)

@@ -11,10 +11,11 @@ label-noise-blobs: gaussian-blobs with labels flipped to a random other
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import check_choice, check_int, check_real
 
 TASK_KINDS = ("gaussian-blobs", "noisy-moons", "label-noise-blobs")
 
@@ -80,16 +81,12 @@ def check_task_args(
     kind: str, n: int, classes: int, dim: int, noise: float, separation: float, flip_rate: float, splits: tuple
 ) -> None:
     """Raise the ValueError make_synthetic_task gives for these arguments, if any."""
-    if kind not in TASK_KINDS:
-        raise ValueError(f"kind must be one of {TASK_KINDS}, got {kind!r}")
+    check_choice("kind", kind, TASK_KINDS)
     for name, value, least in (("n", n, 100), ("classes", classes, 2), ("dim", dim, 2)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    for name, value in (("noise", noise), ("separation", separation), ("flip_rate", flip_rate)):
-        if not (isinstance(value, numbers.Real) and 0 <= value < np.inf):
-            raise ValueError(f"{name} must be a finite real >= 0, got {value!r}")
-    if flip_rate > 1:
-        raise ValueError(f"flip_rate must lie in [0, 1], got {flip_rate!r}")
+        check_int(name, value, least)
+    check_real("noise", noise, 0)
+    check_real("separation", separation, 0)
+    check_real("flip_rate", flip_rate, 0, 1)
     if len(splits) != 3 or abs(sum(splits) - 1.0) > 1e-9 or min(splits) <= 0:
         raise ValueError(f"splits must be three positive fractions summing to 1, got {splits}")
 
@@ -107,7 +104,7 @@ def make_synthetic_task(
 ) -> SyntheticTask:
     """Sample n examples and split them train/val/test by the given fractions."""
     check_task_args(kind, n, classes, dim, noise, separation, flip_rate, splits)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     if kind == "noisy-moons":
         classes = 2
         x, y = _sample_moons(n, noise, rng)

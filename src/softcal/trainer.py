@@ -13,13 +13,12 @@ validation ECE among configs within 1% relative accuracy of the stage's best.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .avuc import DegenerateBatchError
-from .data import EvalSet, IngestionError, check_labels, summarize
+from .data import EvalSet, IngestionError, check_int, check_labels, check_real, summarize
 from .losses import LossSpec, LossValueGrad, composite_loss_arrays
 from .metrics import eval_convention_ece
 from .mlp import MlpModel
@@ -46,17 +45,13 @@ class TrainConfig:
     eval_bins: int = 15
 
     def __post_init__(self):
-        for name, value in (("learning_rate", self.learning_rate), ("lr_drop_factor", self.lr_drop_factor)):
-            if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size),
-                            ("eval_bins", self.eval_bins),
-                            *(("hidden width", width) for width in self.hidden)):
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        for name, value in (("seed", self.seed), *(("lr_drop_epochs entry", e) for e in self.lr_drop_epochs)):
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        check_real("learning_rate", self.learning_rate, 0, strict=True)
+        check_real("lr_drop_factor", self.lr_drop_factor, 0, strict=True)
+        for name, value, least in (("epochs", self.epochs, 1), ("batch_size", self.batch_size, 1),
+                                   ("eval_bins", self.eval_bins, 1), ("seed", self.seed, 0),
+                                   *(("hidden width", width, 1) for width in self.hidden),
+                                   *(("lr_drop_epochs entry", e, 0) for e in self.lr_drop_epochs)):
+            check_int(name, value, least)
 
 
 @dataclass

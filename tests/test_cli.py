@@ -457,6 +457,7 @@ def test_non_integer_or_non_positive_sizes_exit_64_before_training(capsys, tmp_p
         {"loss": {"lam": float("nan")}},
         {"train": {"learning_rate": float("nan")}},
         {"train": {"lr_drop_factor": "x"}},
+        {"train": {"learning_rate": 10**400}},
     ],
 )
 def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_path, section):
@@ -465,6 +466,29 @@ def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_pa
     out_dir = tmp_path / "o"
     code, _, err = run_cli(capsys, "train", "--config", str(bad), "--out", str(out_dir))
     assert code == 64 and err.startswith("usage error: invalid config value:")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "section, field",
+    [
+        ({"train": {"learning_rate": True}}, "learning_rate"),
+        ({"train": {"lr_drop_factor": True}}, "lr_drop_factor"),
+        ({"loss": {"beta": True}}, "beta"),
+        ({"loss": {"p": "2"}}, "p"),
+        ({"loss": {"kappa": "0.5"}}, "kappa"),
+        ({"loss": {"bin_temperature": True}}, "bin_temperature"),
+        ({"data": {"flip_rate": True}}, "flip_rate"),
+        ({"data": {"noise": "1"}}, "noise"),
+    ],
+)
+def test_a_bool_or_a_string_for_a_number_exits_64_naming_the_field(capsys, tmp_path, section, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(section))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "train", "--config", str(bad), "--out", str(out_dir))
+    assert code == 64 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"usage error: invalid config value: {field} must ") and "ufunc" not in err
     assert not out_dir.exists()
 
 
@@ -705,8 +729,10 @@ def test_sweep_grid_validation(capsys, sweep_inputs, tmp_path):
         ({"kappa": [0.5, 0.0]}, "kappa must be > 0"),
         ({"kappa": [1.5]}, "kappa must lie in (0, 1) for s-avuc"),
         ({"soft_temperature": [-1.0]}, "soft_temperature must be > 0"),
-        ({"beta": [1.0, -0.5]}, "beta and lam must be >= 0"),
-        ({"lam": [-1e-3]}, "beta and lam must be >= 0"),
+        ({"beta": [1.0, -0.5]}, "beta must be >= 0"),
+        ({"lam": [-1e-3]}, "lam must be >= 0"),
+        ({"kappa": ["x"]}, "kappa must be > 0, got 'x' (not a number)"),
+        ({"beta": [True]}, "beta must be >= 0, got True (not a number)"),
     ],
 )
 def test_grid_values_the_loss_refuses_exit_64_before_training(capsys, sweep_inputs, tmp_path, grid, fragment):

@@ -4,8 +4,10 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from softcal import EvalSet, IngestionError, summarize
-from softcal.data import entropy_nats
+from softcal import AvucSpec, BinningSpec, EvalSet, IngestionError, LossSpec, SoftBinningSpec, summarize
+from softcal.data import check_choice, check_int, check_real, entropy_nats
+from softcal.synthetic import make_synthetic_task
+from softcal.trainer import TrainConfig
 
 
 def softmax_rows(z):
@@ -168,3 +170,79 @@ def test_entropy_is_computed_on_first_read_and_cached():
     np.testing.assert_array_equal(first, entropy_nats(s.probs))
     assert s.entropy is first
     np.testing.assert_array_equal(s.norm_entropy, first / np.log(4))
+
+
+def test_the_scalar_checks_accept_numpy_scalars_and_refuse_bools_and_strings():
+    assert check_int("n", np.int64(3), 1) == 3
+    assert check_real("t", np.float32(0.5), 0, strict=True) == 0.5
+    check_choice("mode", np.str_("binned"), ("binned",))
+    for value in (True, False, "1", None, [1], np.bool_(True)):
+        with pytest.raises(ValueError, match="^n must be a positive integer"):
+            check_int("n", value, 1)
+        with pytest.raises(ValueError, match=r"^t must be >= 0, got .* \(not a number\)$"):
+            check_real("t", value, 0)
+    with pytest.raises(ValueError, match="^mode must be one of"):
+        check_choice("mode", True, ("binned",))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("x", 1.5, 2), "x must be an integer >= 2, got 1.5"),
+        (("x", -1, 0), "x must be a non-negative integer, got -1"),
+        (("x", 0, 1), "x must be a positive integer, got 0"),
+    ],
+)
+def test_check_int_names_the_field_and_the_least_value(args, message):
+    with pytest.raises(ValueError) as err:
+        check_int(*args)
+    assert str(err.value) == message
+    assert check_int("x", 2, 2) == 2
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("k", 0.0, 0), {"strict": True}, "k must be > 0, got 0.0"),
+        (("k", 1, 0, 1), {"strict": True, "suffix": " for s-avuc"}, "k must lie in (0, 1) for s-avuc, got 1"),
+        (("k", 1.5, 0, 1), {}, "k must lie in [0, 1], got 1.5"),
+        (("k", np.nan, 0), {}, "k must be >= 0, got nan"),
+        (("k", np.inf, 0), {}, "k must be >= 0, got inf"),
+    ],
+)
+def test_check_real_refuses_values_outside_the_interval_or_not_finite(args, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        check_real(*args, **kwargs)
+    assert str(err.value) == message
+    assert check_real("k", 0.0, 0) == 0.0 and check_real("k", 1, 0, 1) == 1
+
+
+def test_check_real_refuses_what_float64_cannot_hold_finitely():
+    assert check_real("k", 2**1023, 0) == 2**1023
+    with pytest.raises(ValueError, match="^k must be >= 0, got 1000"):
+        check_real("k", 10**400, 0)
+    with pytest.raises(ValueError, match="^k must be >= 0, got"):
+        check_real("k", np.float32(np.inf), 0)
+
+
+def _task(**kwargs):
+    return make_synthetic_task(**({"kind": "gaussian-blobs", "n": 100, "seed": 0} | kwargs))
+
+
+SCALAR_FIELDS = [
+    *((LossSpec, name) for name in ("primary", "gamma", "secondary", "beta", "lam", "bins",
+                                    "bin_temperature", "p", "mode", "kappa", "soft_temperature")),
+    *((TrainConfig, name) for name in ("learning_rate", "epochs", "batch_size", "seed",
+                                       "lr_drop_factor", "eval_bins")),
+    (BinningSpec, "scheme"), (BinningSpec, "num_bins"),
+    (SoftBinningSpec, "num_bins"), (SoftBinningSpec, "temperature"),
+    (AvucSpec, "kappa"), (AvucSpec, "temperature"),
+    *((_task, name) for name in ("kind", "n", "seed", "classes", "dim", "noise", "separation", "flip_rate")),
+]
+
+
+@pytest.mark.parametrize("value", [True, "1"])
+@pytest.mark.parametrize("build, name", SCALAR_FIELDS)
+def test_a_bool_or_a_string_for_a_scalar_field_is_a_value_error(build, name, value):
+    with pytest.raises(ValueError):  # a TypeError would not match
+        build(**{name: value})

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,14 @@ def test_loss_spec_warns_on_inconsistent_beta():
         LossSpec(secondary="none", beta=2.0)
     assert len(w) == 2
     # The warning names the line that built the spec, not dataclass internals.
+    assert [x.filename for x in w] == [__file__, __file__]
+
+
+def test_the_inert_secondary_warning_names_the_caller_of_replace_too():
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        LossSpec(secondary="sb-ece")
+        replace(LossSpec(), secondary="sb-ece")
     assert [x.filename for x in w] == [__file__, __file__]
 
 
