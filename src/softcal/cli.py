@@ -242,18 +242,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_binning_flags(parser, default_mode: str | None = None, scheme: bool = True) -> None:
-    """--bins and, if scheme, --scheme; with a default_mode also --p, --mode
-    and --bin-temp.  Bins, scheme and bin temperature default as the specs do."""
+def _add_binning_flags(parser, default_mode: str, scheme: bool = True) -> None:
     parser.add_argument("--bins", type=int, default=BinningSpec.num_bins, help="number of bins M")
+    parser.add_argument("--p", type=float, default=2.0, help="l_p norm exponent")
+    parser.add_argument("--mode", choices=MODES, default=default_mode, help="reduction mode")
+    parser.add_argument(
+        "--bin-temp", type=float, default=SoftBinningSpec.temperature, help="soft binning temperature"
+    )
     if scheme:
         parser.add_argument("--scheme", choices=SCHEMES, default=BinningSpec.scheme, help="hard binning scheme")
-    if default_mode is not None:
-        parser.add_argument("--p", type=float, default=2.0, help="l_p norm exponent")
-        parser.add_argument("--mode", choices=MODES, default=default_mode, help="reduction mode")
-        parser.add_argument(
-            "--bin-temp", type=float, default=SoftBinningSpec.temperature, help="soft binning temperature"
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -269,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reliability", help="reliability table as CSV on stdout")
     p.add_argument("--logits", required=True)
-    _add_binning_flags(p)
+    p.add_argument("--bins", type=int, default=BinningSpec.num_bins)
+    p.add_argument("--scheme", choices=SCHEMES, default=BinningSpec.scheme)
     p.set_defaults(func=cmd_reliability)
 
     p = sub.add_parser("recalibrate", help="fit a scaling temperature on validation logits")

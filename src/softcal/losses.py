@@ -54,6 +54,7 @@ class LossSpec:
         check_real("p", self.p, 1)
         SoftBinningSpec(num_bins=self.bins, temperature=self.bin_temperature)
         AvucSpec(kappa=self.kappa, temperature=self.soft_temperature)
+        check_real("soft_temperature", self.soft_temperature, 0, strict=True)  # AvucSpec allows None
         if self.secondary == "s-avuc":
             # S-AvUC thresholds normalized entropy, which lies in [0, 1].
             check_real("kappa", self.kappa, 0, 1, strict=True, suffix=" for s-avuc")

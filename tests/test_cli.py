@@ -480,6 +480,7 @@ def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_pa
         ({"loss": {"bin_temperature": True}}, "bin_temperature"),
         ({"data": {"flip_rate": True}}, "flip_rate"),
         ({"data": {"noise": "1"}}, "noise"),
+        ({"loss": {"soft_temperature": None}}, "soft_temperature"),
     ],
 )
 def test_a_bool_or_a_string_for_a_number_exits_64_naming_the_field(capsys, tmp_path, section, field):
@@ -733,6 +734,7 @@ def test_sweep_grid_validation(capsys, sweep_inputs, tmp_path):
         ({"lam": [-1e-3]}, "lam must be >= 0"),
         ({"kappa": ["x"]}, "kappa must be > 0, got 'x' (not a number)"),
         ({"beta": [True]}, "beta must be >= 0, got True (not a number)"),
+        ({"soft_temperature": [None]}, "soft_temperature must be > 0, got None (not a number)"),
     ],
 )
 def test_grid_values_the_loss_refuses_exit_64_before_training(capsys, sweep_inputs, tmp_path, grid, fragment):

@@ -147,7 +147,7 @@ def sweep_grid(draw):
     if dirty and draw(st.integers(0, 4)) == 0:
         return draw(st.sampled_from([[], "beta", {"beta": 1.0}]))
     keys = draw(st.lists(st.sampled_from([*SWEEP_ORDER, *(["gamma"] if dirty else [])]), max_size=2, unique=True))
-    values = st.sampled_from([0.0, 1e-3, 0.5, 1.0, *([1.5, -1.0, "x", True] if dirty else [])])
+    values = st.sampled_from([0.0, 1e-3, 0.5, 1.0, *([1.5, -1.0, "x", True, None] if dirty else [])])
     return {key: draw(st.lists(values, max_size=2)) for key in keys}
 
 

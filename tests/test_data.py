@@ -246,3 +246,10 @@ SCALAR_FIELDS = [
 def test_a_bool_or_a_string_for_a_scalar_field_is_a_value_error(build, name, value):
     with pytest.raises(ValueError):  # a TypeError would not match
         build(**{name: value})
+
+
+@pytest.mark.parametrize("build, name", [f for f in SCALAR_FIELDS if f != (AvucSpec, "temperature")])
+def test_none_for_a_scalar_field_is_a_value_error(build, name):
+    # AvucSpec.temperature alone is optional: None there means no soft uncertainty.
+    with pytest.raises(ValueError):
+        build(**{name: None})
