@@ -5,9 +5,7 @@ from .avuc import (
     AvucCounts,
     AvucSpec,
     DegenerateBatchError,
-    avuc,
     avuc_grad,
-    s_avuc,
     s_avuc_grad,
     soft_uncertainty,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "TrainReport",
     "TrainingDivergedError",
     "assign_hard",
-    "avuc",
     "avuc_grad",
     "bin_stats_hard",
     "composite_loss",
@@ -84,7 +81,6 @@ __all__ = [
     "mse",
     "nll",
     "reliability_table",
-    "s_avuc",
     "s_avuc_grad",
     "sb_ece",
     "sb_ece_confidence_grad",

@@ -107,7 +107,7 @@ def _loss_from(counts: AvucCounts) -> float:
 
 def _avuc_forward(summary: PredictionSummary, spec: AvucSpec):
     """Loss, counts, tanh(h) and the accurate and certain masks of the hard
-    loss: the forward half shared by avuc and avuc_grad."""
+    loss, where h = kappa counts as certain: the forward half of avuc_grad."""
     c = summary.confidence
     w = np.tanh(summary.entropy)
     a = summary.accuracy.astype(bool)
@@ -119,12 +119,6 @@ def _avuc_forward(summary: PredictionSummary, spec: AvucSpec):
         n_iu=float(((1.0 - c) * w)[~a & ~certain].sum()),
     )
     return _loss_from(counts), counts, w, a, certain
-
-
-def avuc(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, AvucCounts]:
-    """Hard-threshold AvUC loss; h = kappa counts as certain."""
-    value, counts, _, _, _ = _avuc_forward(summary, spec)
-    return value, counts
 
 
 def avuc_grad(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, np.ndarray]:
@@ -153,10 +147,10 @@ def avuc_grad(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, np.nda
 
 def _s_avuc_forward(summary: PredictionSummary, spec: AvucSpec):
     """Loss, counts, soft uncertainty t, tanh(h) and accuracy of S-AvUC: the
-    forward half shared by s_avuc and s_avuc_grad.  Every example feeds
-    both its numerator and its denominator cell, weighted by t and (1 - t)."""
+    forward half of s_avuc_grad.  Every example feeds both its numerator
+    and its denominator cell, weighted by t and (1 - t)."""
     if spec.temperature is None:
-        raise ValueError("s_avuc requires AvucSpec.temperature")
+        raise ValueError("S-AvUC requires AvucSpec.temperature")
     t = soft_uncertainty(summary.norm_entropy, spec.kappa, spec.temperature)
     w = np.tanh(summary.entropy)
     a = summary.accuracy.astype(bool)
@@ -169,12 +163,6 @@ def _s_avuc_forward(summary: PredictionSummary, spec: AvucSpec):
         n_iu=float(tw[~a].sum()),
     )
     return _loss_from(counts), counts, t, w, a
-
-
-def s_avuc(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, AvucCounts]:
-    """Soft AvUC: entropy indicator replaced by the smooth uncertainty score."""
-    value, counts, _, _, _ = _s_avuc_forward(summary, spec)
-    return value, counts
 
 
 def s_avuc_grad(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, np.ndarray]:

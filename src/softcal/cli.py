@@ -93,7 +93,8 @@ def _metrics_block(path: str, spec: BinningSpec | SoftBinningSpec, args) -> dict
     # The summary holds no reference to the logits, so they are freed
     # before the metric and entropy temporaries are made.
     summary = summarize(read_logits_csv(path))
-    report = (sb_ece if args.soft else ece)(summary, spec, p=args.p, mode=args.mode)
+    report = (sb_ece(summary.confidence, summary.accuracy, spec, p=args.p, mode=args.mode) if args.soft
+              else ece(summary, spec, p=args.p, mode=args.mode))
     return {
         "n": summary.n,
         "bins": report.num_bins,

@@ -117,13 +117,6 @@ class PredictionSummary:
     accuracy: np.ndarray
     temperature: float
 
-    @classmethod
-    def with_entropy(cls, entropy: np.ndarray, **fields) -> PredictionSummary:
-        """A summary whose entropy is given rather than computed from probs."""
-        summary = cls(**fields)
-        summary.__dict__["entropy"] = np.asarray(entropy, dtype=np.float64)
-        return summary
-
     @cached_property
     def entropy(self) -> np.ndarray:
         return entropy_nats(self.probs)

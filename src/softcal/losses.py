@@ -16,7 +16,7 @@ import numpy as np
 
 from .avuc import AvucSpec, avuc_grad, s_avuc_grad
 from .binning import SoftBinningSpec
-from .data import EvalSet, PredictionSummary, check_choice, check_real, summarize_arrays
+from .data import PredictionSummary, check_choice, check_real, summarize_arrays
 from .metrics import LABEL_BINNED, MODES, sb_ece_grad
 
 PRIMARIES = ("nll", "focal", "mse")
@@ -157,26 +157,14 @@ def secondary_loss(summary: PredictionSummary, spec: LossSpec) -> tuple[float, n
 
 
 def composite_loss(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    spec: LossSpec,
-    weight_sq_norm: float = 0.0,
-) -> LossValueGrad:
-    """Primary + beta * secondary + lam * ||W||^2 at temperature 1.
-
-    grad_logits covers the primary and secondary terms; the L2 gradient is
-    parameter-space and is added by the trainer.  Logits or labels that an
-    EvalSet refuses raise IngestionError.
-    """
-    eval_set = EvalSet(logits, labels)
-    return composite_loss_arrays(eval_set.logits, eval_set.labels, spec, weight_sq_norm)
-
-
-def composite_loss_arrays(
     logits: np.ndarray, labels: np.ndarray, spec: LossSpec, weight_sq_norm: float = 0.0
 ) -> LossValueGrad:
-    """composite_loss on logits and labels checked as summarize_arrays
-    requires; the trainer's batches take this path."""
+    """Primary + beta * secondary + lam * ||W||^2 at temperature 1, on logits
+    and labels checked as summarize_arrays requires.
+
+    grad_logits covers the primary and secondary terms; the L2 gradient is
+    parameter-space and is added by the trainer.
+    """
     summary = summarize_arrays(logits, labels)
     pv, pg = primary_loss(summary, labels, spec)
     if spec.secondary != "none" and spec.beta != 0.0:

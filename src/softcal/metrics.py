@@ -98,16 +98,6 @@ def ece(
 
 
 def sb_ece(
-    summary: PredictionSummary,
-    spec: SoftBinningSpec,
-    p: float = 2.0,
-    mode: str = LABEL_BINNED,
-) -> EceReport:
-    """Soft-binned ECE: differentiable relaxation of the equal-width metric."""
-    return sb_ece_arrays(summary.confidence, summary.accuracy, spec, p=p, mode=mode)
-
-
-def sb_ece_arrays(
     confidence: np.ndarray,
     accuracy: np.ndarray,
     spec: SoftBinningSpec,
@@ -115,7 +105,8 @@ def sb_ece_arrays(
     mode: str = LABEL_BINNED,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EceReport:
-    """sb_ece on per-example confidence and 0/1 accuracy arrays.
+    """Soft-binned ECE, the differentiable relaxation of the equal-width
+    metric, on per-example confidence and 0/1 accuracy arrays.
 
     out, when given, is a caller-owned pair of C-contiguous float64 (M, N)
     arrays: the first holds the memberships, the second the label-binned
@@ -143,7 +134,7 @@ def _sb_ece_forward(
 ) -> tuple[float, np.ndarray, BinStats]:
     """SB-ECE to the power p, the bins-major (M, N) memberships u and the
     soft bin statistics: the forward half shared by value and gradient.
-    out is the (memberships, gaps) buffer pair of sb_ece_arrays."""
+    out is the (memberships, gaps) buffer pair of sb_ece."""
     u_out, d_out = (None, None) if out is None else out
     u = soft_membership(confidence, spec, out=u_out).T  # (M, N)
     s = u.sum(axis=1)

@@ -41,10 +41,6 @@ class MlpModel:
             w[...] = rng.uniform(-1.0, 1.0, size=w.shape) / np.sqrt(w.shape[0])
         return model
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.weights)
-
     def forward(
         self, x: np.ndarray, out: list[np.ndarray] | None = None
     ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -62,7 +58,7 @@ class MlpModel:
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = np.matmul(a, w, out=None if out is None else out[l])
             z += b
-            if l < self.num_layers - 1:
+            if l < len(self.weights) - 1:
                 a = np.maximum(z, 0.0, out=z)
                 activations.append(a)
         return z, activations
@@ -72,7 +68,7 @@ class MlpModel:
         grad = np.empty_like(self.params)
         grads_w, grads_b = self._views(grad)
         delta = grad_logits
-        for l in range(self.num_layers - 1, -1, -1):
+        for l in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[l].T, delta, out=grads_w[l])
             delta.sum(axis=0, out=grads_b[l])
             if l > 0:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .binning import SoftBinningSpec
 from .data import EvalSet, check_choice
-from .metrics import LABEL_BINNED, sb_ece_arrays
+from .metrics import LABEL_BINNED, sb_ece
 
 OBJECTIVES = ("nll", "sb-ece")
 
@@ -152,7 +152,7 @@ def _objective_fn(
 
         def fn(t: float) -> float:
             conf = 1.0 / _exp_row_sum(shifts, t, row)
-            return sb_ece_arrays(conf, accuracy, sb_spec, p=p, mode=mode, out=pair).value
+            return sb_ece(conf, accuracy, sb_spec, p=p, mode=mode, out=pair).value
     return fn
 
 

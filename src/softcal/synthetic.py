@@ -87,8 +87,9 @@ def check_task_args(
     check_real("noise", noise, 0)
     check_real("separation", separation, 0)
     check_real("flip_rate", flip_rate, 0, 1)
-    if len(splits) != 3 or abs(sum(splits) - 1.0) > 1e-9 or min(splits) <= 0:
-        raise ValueError(f"splits must be three positive fractions summing to 1, got {splits}")
+    if not (isinstance(splits, (list, tuple)) and len(splits) == 3
+            and abs(sum(check_real("splits entry", s, 0, 1, strict=True) for s in splits) - 1.0) <= 1e-9):
+        raise ValueError(f"splits must be three positive fractions summing to 1, got {splits!r}")
 
 
 def make_synthetic_task(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .avuc import DegenerateBatchError
 from .data import EvalSet, IngestionError, check_int, check_labels, check_real, summarize
-from .losses import LossSpec, LossValueGrad, composite_loss_arrays
+from .losses import LossSpec, LossValueGrad, composite_loss
 from .metrics import eval_convention_ece
 from .mlp import MlpModel
 
@@ -47,6 +47,9 @@ class TrainConfig:
     def __post_init__(self):
         check_real("learning_rate", self.learning_rate, 0, strict=True)
         check_real("lr_drop_factor", self.lr_drop_factor, 0, strict=True)
+        for name in ("hidden", "lr_drop_epochs"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         for name, value, least in (("epochs", self.epochs, 1), ("batch_size", self.batch_size, 1),
                                    ("eval_bins", self.eval_bins, 1), ("seed", self.seed, 0),
                                    *(("hidden width", width, 1) for width in self.hidden),
@@ -74,7 +77,7 @@ def forward_backward(
     if not np.isfinite(logits).all():
         raise TrainingDivergedError("non-finite logits")
     sq_norm = model.weight_sq_norm() if spec.lam != 0.0 else 0.0
-    lvg = composite_loss_arrays(logits, y, spec, weight_sq_norm=sq_norm)
+    lvg = composite_loss(logits, y, spec, weight_sq_norm=sq_norm)
     grad = model.backward(activations, lvg.grad_logits)
     if spec.lam != 0.0:
         n_weights = sum(w.size for w in model.weights)

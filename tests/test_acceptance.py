@@ -83,7 +83,7 @@ def test_01_soft_binning_limits_to_hard_ece(criterion_log):
         hard_spec = BinningSpec(scheme="equal-width", num_bins=m)
         for p in (1.0, 2.0):
             for mode in (BINNED, LABEL_BINNED):
-                soft = sb_ece(s, soft_spec, p=p, mode=mode).value
+                soft = sb_ece(s.confidence, s.accuracy, soft_spec, p=p, mode=mode).value
                 hard = ece(s, hard_spec, p=p, mode=mode).value
                 worst = max(worst, abs(soft - hard))
     elapsed = time.time() - t0
@@ -277,16 +277,24 @@ def _label_noise_task(seed):
     )
 
 
-def _noise_arm(task, loss, seed):
-    config = TrainConfig(
+def _noise_config(loss, seed):
+    return TrainConfig(
         loss=loss, epochs=400, hidden=(128, 128), learning_rate=0.1,
         lr_drop_epochs=(300,), seed=seed,
     )
-    model, _ = train(
-        (task.x_train, task.y_train), (task.x_val, task.y_val), config, task.num_classes
-    )
+
+
+def _test_metrics(task, model):
     s = summarize(EvalSet(model.forward(task.x_test)[0], task.y_test))
     return float(s.accuracy.mean()), eval_convention_ece(s)
+
+
+def _noise_arm(task, loss, seed):
+    model, _ = train(
+        (task.x_train, task.y_train), (task.x_val, task.y_val), _noise_config(loss, seed),
+        task.num_classes,
+    )
+    return _test_metrics(task, model)
 
 
 def test_07_swept_composite_halves_ece_on_label_noise(criterion_log):
@@ -311,14 +319,17 @@ def test_07_swept_composite_halves_ece_on_label_noise(criterion_log):
             lr_drop_epochs=(300,), seed=seed,
         )
 
+        models = {}  # keyed like the sweep's cache, so the winner is not trained again
+
         def train_fn(cfg):
-            _, rep = train(
+            models[cfg.loss], rep = train(
                 (task.x_train, task.y_train), (task.x_val, task.y_val), cfg, task.num_classes
             )
             return rep.final_val_accuracy, rep.final_val_ece
 
         best_cfg, _ = sweep_one_at_a_time(base, grids, train_fn)
-        a1, e1 = _noise_arm(task, best_cfg.loss, seed)
+        assert best_cfg == _noise_config(best_cfg.loss, seed)
+        a1, e1 = _test_metrics(task, models[best_cfg.loss])
         nll_ece.append(e0)
         swept_ece.append(e1)
         nll_acc.append(a0)

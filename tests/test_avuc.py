@@ -9,14 +9,12 @@ from softcal import (
     DegenerateBatchError,
     EvalSet,
     PredictionSummary,
-    avuc,
     avuc_grad,
-    s_avuc,
     s_avuc_grad,
     soft_uncertainty,
     summarize,
 )
-from softcal.avuc import _soft_uncertainty_slope
+from softcal.avuc import _avuc_forward, _s_avuc_forward, _soft_uncertainty_slope
 
 
 def raw_summary(conf, entropy, acc, k=2):
@@ -24,14 +22,15 @@ def raw_summary(conf, entropy, acc, k=2):
     softmax row can realize; probs/predicted are placeholders."""
     conf = np.asarray(conf, dtype=np.float64)
     n = conf.shape[0]
-    return PredictionSummary.with_entropy(
-        entropy,
+    summary = PredictionSummary(
         probs=np.full((n, k), 1.0 / k),
         confidence=conf,
         predicted=np.zeros(n, dtype=np.int64),
         accuracy=np.asarray(acc, dtype=np.float64),
         temperature=1.0,
     )
+    summary.__dict__["entropy"] = np.asarray(entropy, dtype=np.float64)  # read by the cached property
+    return summary
 
 
 def test_avuc_spec_validation():
@@ -45,14 +44,15 @@ def test_avuc_two_point_fixture():
     # one accurate-certain and one inaccurate-certain example, both c=0.75,
     # same entropy: the tanh factors cancel and the loss is log(4/3)
     s = raw_summary([0.75, 0.75], [0.2, 0.2], [1, 0])
-    value, counts = avuc(s, AvucSpec(kappa=0.5))
+    value, _ = avuc_grad(s, AvucSpec(kappa=0.5))
+    counts = _avuc_forward(s, AvucSpec(kappa=0.5))[1]
     assert value == pytest.approx(np.log(4.0 / 3.0), abs=1e-15)
     assert counts.n_au == 0.0 and counts.n_iu == 0.0
 
 
 def test_avuc_entropy_equal_to_kappa_counts_certain():
     s = raw_summary([0.9, 0.9], [0.5, 0.7], [1, 0])
-    _, counts = avuc(s, AvucSpec(kappa=0.5))
+    counts = _avuc_forward(s, AvucSpec(kappa=0.5))[1]
     assert counts.n_ac > 0.0  # the h = kappa example landed in the certain cell
     assert counts.n_au == 0.0
 
@@ -61,7 +61,7 @@ def test_avuc_degenerate_batch_raises():
     # every example inaccurate and certain: denominator n_AC + n_IU is empty
     s = raw_summary([0.9, 0.8], [0.1, 0.1], [0, 0])
     with pytest.raises(DegenerateBatchError):
-        avuc(s, AvucSpec(kappa=0.5))
+        avuc_grad(s, AvucSpec(kappa=0.5))
 
 
 def test_avuc_nonnegative_and_matches_reference():
@@ -69,7 +69,7 @@ def test_avuc_nonnegative_and_matches_reference():
     for _ in range(20):
         z, y, kappa = avuc_batch(rng)
         s = summarize(EvalSet(z, y))
-        value, _ = avuc(s, AvucSpec(kappa=kappa))
+        value, _ = avuc_grad(s, AvucSpec(kappa=kappa))
         assert value >= 0.0
         assert value == pytest.approx(float(oracles.avuc_ld(z, y, kappa)), rel=1e-12)
 
@@ -116,9 +116,9 @@ def test_value_and_gradient_apis_share_one_forward():
         s = summarize(EvalSet(z, y))
         for stopped in (False, True):
             spec = AvucSpec(kappa=kappa, gradient_stopping=stopped)
-            assert avuc(s, spec)[0] == avuc_grad(s, spec)[0]
+            assert _avuc_forward(s, spec)[0] == avuc_grad(s, spec)[0]
         spec = AvucSpec(kappa=float(rng.uniform(0.1, 0.9)), temperature=float(10 ** rng.uniform(-1.0, 0.5)))
-        assert s_avuc(s, spec)[0] == s_avuc_grad(s, spec)[0]
+        assert _s_avuc_forward(s, spec)[0] == s_avuc_grad(s, spec)[0]
 
 
 def test_soft_uncertainty_frozen_value():
@@ -170,14 +170,15 @@ def test_soft_uncertainty_grad_zero_in_clamp_region():
 def test_s_avuc_requires_temperature():
     s = raw_summary([0.7], [0.3], [1])
     with pytest.raises(ValueError):
-        s_avuc(s, AvucSpec(kappa=0.5))
+        s_avuc_grad(s, AvucSpec(kappa=0.5))
 
 
 def test_s_avuc_single_example_fixture():
     # accurate example at h* = 1/2 with the identity uncertainty map:
     # t = 1/2 and tanh(ln2 / 2) = 1/3 exactly, so the loss is log(3/2)
     s = raw_summary([0.9], [0.5 * np.log(2)], [1], k=2)
-    value, counts = s_avuc(s, AvucSpec(kappa=0.5, temperature=1.0))
+    value, _ = s_avuc_grad(s, AvucSpec(kappa=0.5, temperature=1.0))
+    counts = _s_avuc_forward(s, AvucSpec(kappa=0.5, temperature=1.0))[1]
     assert value == pytest.approx(np.log(1.5), abs=1e-15)
     assert counts.numerator == pytest.approx(0.5 * (1.0 / 3.0), abs=1e-16)
 
@@ -187,7 +188,7 @@ def test_s_avuc_nonnegative_and_matches_reference():
     for _ in range(20):
         z, y = random_batch(rng)
         s = summarize(EvalSet(z, y))
-        value, _ = s_avuc(s, AvucSpec(kappa=0.4, temperature=0.7))
+        value, _ = s_avuc_grad(s, AvucSpec(kappa=0.4, temperature=0.7))
         assert value >= 0.0
         assert value == pytest.approx(float(oracles.s_avuc_ld(z, y, 0.4, 0.7)), rel=1e-12)
 

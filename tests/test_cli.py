@@ -481,6 +481,11 @@ def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_pa
         ({"data": {"flip_rate": True}}, "flip_rate"),
         ({"data": {"noise": "1"}}, "noise"),
         ({"loss": {"soft_temperature": None}}, "soft_temperature"),
+        ({"model": {"hidden": 5}}, "hidden"),
+        ({"model": {"hidden": None}}, "hidden"),
+        ({"train": {"lr_drop_epochs": 3}}, "lr_drop_epochs"),
+        ({"data": {"splits": None}}, "splits"),
+        ({"data": {"splits": ["a", 0.5, 0.5]}}, "splits entry"),
     ],
 )
 def test_a_bool_or_a_string_for_a_number_exits_64_naming_the_field(capsys, tmp_path, section, field):

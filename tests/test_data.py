@@ -248,6 +248,16 @@ def test_a_bool_or_a_string_for_a_scalar_field_is_a_value_error(build, name, val
         build(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "build, name, value",
+    [(TrainConfig, "hidden", 5), (TrainConfig, "hidden", None), (TrainConfig, "lr_drop_epochs", 3),
+     (_task, "splits", None), (_task, "splits", ("a", 0.5, 0.5)), (_task, "splits", [0.5, None, 0.5])],
+)
+def test_a_list_setting_that_is_not_a_list_of_numbers_is_a_value_error_naming_it(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} "):  # a TypeError would not match
+        build(**{name: value})
+
+
 @pytest.mark.parametrize("build, name", [f for f in SCALAR_FIELDS if f != (AvucSpec, "temperature")])
 def test_none_for_a_scalar_field_is_a_value_error(build, name):
     # AvucSpec.temperature alone is optional: None there means no soft uncertainty.

@@ -22,7 +22,6 @@ from softcal import (
     sb_ece_confidence_grad,
 )
 from softcal.binning import soft_membership
-from softcal.metrics import sb_ece_arrays
 
 
 def summary_from_conf(conf, acc):
@@ -94,7 +93,8 @@ def test_sb_ece_matches_reference():
         s = summarize(EvalSet(z, y))
         for mode in (BINNED, LABEL_BINNED):
             for p in (1.0, 2.0):
-                got = sb_ece(s, SoftBinningSpec(num_bins=10, temperature=0.05), p=p, mode=mode).value
+                spec = SoftBinningSpec(num_bins=10, temperature=0.05)
+                got = sb_ece(s.confidence, s.accuracy, spec, p=p, mode=mode).value
                 want = oracles.sb_ece_ld(z, y, 10, 0.05, p, mode)
                 assert got == pytest.approx(float(want), rel=1e-11)
 
@@ -135,7 +135,8 @@ def test_sb_ece_soft_to_hard_limit():
     acc = rng.random(400) < conf
     s = summary_from_conf(conf, acc)
     for p in (1.0, 2.0):
-        soft = sb_ece(s, SoftBinningSpec(num_bins=m, temperature=1e-5), p=p, mode=BINNED).value
+        spec = SoftBinningSpec(num_bins=m, temperature=1e-5)
+        soft = sb_ece(s.confidence, s.accuracy, spec, p=p, mode=BINNED).value
         hard = ece(s, BinningSpec(scheme="equal-width", num_bins=m), p=p, mode=BINNED).value
         assert soft == pytest.approx(hard, abs=1e-4)
 
@@ -148,7 +149,7 @@ def test_m_equals_one_label_binned_closed_form():
     s = summarize(EvalSet(z, y))
     spec = SoftBinningSpec(num_bins=1, temperature=0.01)
     p = 2.0
-    value = sb_ece(s, spec, p=p, mode=LABEL_BINNED).value
+    value = sb_ece(s.confidence, s.accuracy, spec, p=p, mode=LABEL_BINNED).value
     a_bar = s.accuracy.mean()
     expect = ((np.abs(a_bar - s.confidence) ** p).mean()) ** (1 / p)
     assert value == pytest.approx(expect, rel=1e-14)
@@ -187,7 +188,8 @@ def test_value_and_gradient_apis_share_one_forward(mode, p):
     for _ in range(20):
         s = summarize(EvalSet(*random_batch(rng, n_hi=64)))
         spec = SoftBinningSpec(num_bins=int(rng.integers(1, 16)), temperature=float(10 ** rng.uniform(-2.5, -0.5)))
-        assert sb_ece(s, spec, p=p, mode=mode).value == sb_ece_grad(s, spec, p=p, mode=mode)[0]
+        value = sb_ece(s.confidence, s.accuracy, spec, p=p, mode=mode).value
+        assert value == sb_ece_grad(s, spec, p=p, mode=mode)[0]
 
 
 @pytest.mark.parametrize("mode", [LABEL_BINNED, BINNED])
@@ -199,8 +201,8 @@ def test_sb_ece_arrays_into_reused_buffers_matches_a_fresh_call(mode, p):
     pair = (np.full((15, n), np.nan), np.full((15, n), np.nan))
     for conf in (rng.uniform(0.1, 1.0, n), np.where(rng.random(n) < 0.4, 1.0, rng.uniform(0.5, 1.0, n))):
         acc = (rng.random(n) < conf).astype(np.float64)
-        got = sb_ece_arrays(conf, acc, spec, p=p, mode=mode, out=pair)
-        want = sb_ece_arrays(conf, acc, spec, p=p, mode=mode)
+        got = sb_ece(conf, acc, spec, p=p, mode=mode, out=pair)
+        want = sb_ece(conf, acc, spec, p=p, mode=mode)
         assert got.value == want.value
         for field in ("size", "mean_conf", "mean_acc"):
             np.testing.assert_array_equal(getattr(got.bin_stats, field), getattr(want.bin_stats, field))
@@ -210,10 +212,11 @@ def test_only_binned_soft_reports_carry_the_bin_mean_confidence():
     rng = np.random.default_rng(21)
     s = summarize(EvalSet(*random_batch(rng, n_lo=64, n_hi=64)))
     spec = SoftBinningSpec(num_bins=10, temperature=0.05)
-    assert sb_ece(s, spec, mode=LABEL_BINNED).bin_stats.mean_conf is None
+    assert sb_ece(s.confidence, s.accuracy, spec, mode=LABEL_BINNED).bin_stats.mean_conf is None
     u = soft_membership(s.confidence, spec)  # (N, M)
     want = (u * s.confidence[:, None]).sum(axis=0) / u.sum(axis=0)
-    np.testing.assert_allclose(sb_ece(s, spec, mode=BINNED).bin_stats.mean_conf, want, rtol=1e-12)
+    got = sb_ece(s.confidence, s.accuracy, spec, mode=BINNED).bin_stats.mean_conf
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
@@ -226,10 +229,10 @@ def test_sb_ece_arrays_into_reused_buffers_adds_no_page_faults():
     acc = (rng.random(n) < conf).astype(np.float64)
     spec = SoftBinningSpec()
     pair = (np.empty((spec.num_bins, n)), np.empty((spec.num_bins, n)))
-    sb_ece_arrays(conf, acc, spec, out=pair)  # first touch of the buffers
+    sb_ece(conf, acc, spec, out=pair)  # first touch of the buffers
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(20):
-        sb_ece_arrays(conf, acc, spec, out=pair)
+        sb_ece(conf, acc, spec, out=pair)
     # Fresh (M, N) arrays fault in ~1,400 pages per call.
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 

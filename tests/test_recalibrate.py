@@ -145,7 +145,8 @@ def test_fit_optimality_on_dense_grid():
             vals = [nll(summarize(es, t), es.labels)[0] for t in dense]
         else:
             spec = SoftBinningSpec(num_bins=15, temperature=0.01)
-            vals = [sb_ece(summarize(es, t), spec).value for t in dense]
+            summaries = (summarize(es, t) for t in dense)
+            vals = [sb_ece(s.confidence, s.accuracy, spec).value for s in summaries]
         assert min(vals) >= fit.objective_value - 1e-6
 
 
@@ -183,7 +184,10 @@ def test_fit_trace_matches_the_summarize_path(objective, mode, p):
     fit = fit_temperature(es, objective=objective, sb_spec=spec, p=p, mode=mode)
     for t, v in fit.trace:
         s = summarize(es, t)
-        ref = nll(s, es.labels)[0] if objective == "nll" else sb_ece(s, spec, p=p, mode=mode).value
+        if objective == "nll":
+            ref = nll(s, es.labels)[0]
+        else:
+            ref = sb_ece(s.confidence, s.accuracy, spec, p=p, mode=mode).value
         assert v == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 

@@ -39,7 +39,7 @@ def softmax_rows(z):
 def test_init_shapes_and_scaling():
     rng = np.random.default_rng(0)
     model = MlpModel.init([3, 5, 2], rng)
-    assert model.num_layers == 2
+    assert len(model.weights) == 2
     assert model.weights[0].shape == (3, 5) and model.weights[1].shape == (5, 2)
     assert np.abs(model.weights[0]).max() <= 1.0 / np.sqrt(3)
     assert np.abs(model.weights[1]).max() <= 1.0 / np.sqrt(5)
