@@ -127,7 +127,8 @@ def cli_digests(np, softcal, env: dict, work: Path, n: int, sweep_epochs: int) -
             env, work, "recalibrate", "--val-logits", val, "--test-logits", test, "--objective", objective)
 
     (work / "c9.json").write_text(json.dumps(CRITERION_9))
-    out["cli/train"] = run_cli(env, work, "train", "--config", str(work / "c9.json"), "--out", str(work / "c9"))
+    out["cli/train"] = run_cli(env, work, "train", "--config", str(work / "c9.json"),
+                               "--out", str(work / "c9"))
     for name in ("report.json", "test_logits.csv"):
         out[f"train-cli/{name}"] = sha256((work / "c9" / name).read_bytes())
     with np.load(work / "c9" / "model.npz") as model:
