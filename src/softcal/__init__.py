@@ -32,7 +32,7 @@ from .metrics import (
 )
 from .mlp import MlpModel
 from .recalibrate import TemperatureFit, fit_temperature
-from .synthetic import TASK_KINDS, SyntheticTask, make_synthetic_task
+from .synthetic import TASK_KINDS, SyntheticTask, TaskSpec, make_synthetic_task
 from .trainer import (
     SweepRow,
     TrainConfig,
@@ -64,6 +64,7 @@ __all__ = [
     "SweepRow",
     "SyntheticTask",
     "TASK_KINDS",
+    "TaskSpec",
     "TemperatureFit",
     "TrainConfig",
     "TrainReport",

@@ -22,16 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .binning import SCHEMES, BinningSpec, SoftBinningSpec
-from .data import EvalSet, IngestionError, check_real, summarize
-from .io import (
-    DataError,
-    UsageError,
-    as_arguments,
-    load_json,
-    load_run_config,
-    read_logits_csv,
-    write_logits_csv,
-)
+from .data import EvalSet, IngestionError, check_int, check_real, summarize
+from .io import DataError, UsageError, load_json, load_run_config, read_logits_csv, write_logits_csv
 from .losses import LossSpec
 from .metrics import BINNED, LABEL_BINNED, MODES, ece, eval_convention_ece, reliability_table, sb_ece
 from .recalibrate import OBJECTIVES, FitError, fit_temperature
@@ -53,10 +45,10 @@ def _resolve_seed(flag_seed, config_seed: int) -> int:
     source, value = ("--seed", flag_seed) if flag_seed is not None else ("CALREF_SEED", env)
     if value is None:
         return config_seed
-    with suppress(ValueError):
-        if int(value) >= 0:
-            return int(value)
-    raise UsageError(f"{source} must be a non-negative integer, got {value!r}")
+    try:
+        return check_int(source, int(value), 0)
+    except ValueError:
+        raise UsageError(f"{source} must be a non-negative integer, got {value!r}") from None
 
 
 @contextmanager
@@ -165,21 +157,21 @@ def cmd_train(args) -> int:
     config = load_run_config(args.config)
     config = config.with_seed(_resolve_seed(args.seed, config.seed))
     out_dir = _make_out_dir(args.out, ("report.json", "model.npz", "test_logits.csv"))
-    task = make_synthetic_task(seed=config.seed, **as_arguments(config.data))
+    task = make_synthetic_task(seed=config.seed, **asdict(config.task))
     model, report = train(
         (task.x_train, task.y_train),
         (task.x_val, task.y_val),
-        config.train_config(),
+        config.train,
         num_classes=task.num_classes,
     )
     test_set = EvalSet(model.forward(task.x_test)[0], task.y_test)
     summary = summarize(test_set)
     test_metrics = {
         "test_accuracy": float(summary.accuracy.mean()),
-        "test_ece_percent": 100.0 * eval_convention_ece(summary, config.train["eval_bins"]),
+        "test_ece_percent": 100.0 * eval_convention_ece(summary, config.train.eval_bins),
     }
 
-    doc = {"config": asdict(config), "report": asdict(report), **test_metrics}
+    doc = {"config": config.as_json(), "report": asdict(report), **test_metrics}
     (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     arrays = {}
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -213,9 +205,9 @@ def _load_grid(path: str, loss: LossSpec) -> dict:
 def cmd_sweep(args) -> int:
     config = load_run_config(args.config)
     config = config.with_seed(_resolve_seed(args.seed, config.seed))
-    grids = _load_grid(args.grid, config.loss_spec())
+    grids = _load_grid(args.grid, config.train.loss)
     out_dir = _make_out_dir(args.out, ("results.csv", "selected_config.json"))
-    task = make_synthetic_task(seed=config.seed, **as_arguments(config.data))
+    task = make_synthetic_task(seed=config.seed, **asdict(config.task))
 
     def train_fn(train_config):
         _, report = train(
@@ -226,7 +218,7 @@ def cmd_sweep(args) -> int:
         )
         return report.final_val_accuracy, report.final_val_ece
 
-    selected, rows = sweep_one_at_a_time(config.train_config(), grids, train_fn)
+    selected, rows = sweep_one_at_a_time(config.train, grids, train_fn)
 
     with open(out_dir / "results.csv", "w") as handle:
         handle.write("stage,value,val_accuracy,val_ece_percent,selected\n")
@@ -235,7 +227,7 @@ def cmd_sweep(args) -> int:
                 f"{row.stage},{row.value!r},{row.val_accuracy!r},"
                 f"{(100.0 * row.val_ece)!r},{int(row.selected)}\n"
             )
-    selected_doc = asdict(config.with_loss(selected.loss))
+    selected_doc = replace(config, train=selected).as_json()
     (out_dir / "selected_config.json").write_text(
         json.dumps(selected_doc, indent=2, sort_keys=True) + "\n"
     )

@@ -26,9 +26,12 @@ class IngestionError(ValueError):
 # builtin types come first in each isinstance tuple, so they skip the slower
 # numbers ABC lookup on the per-batch checks.
 
+_INT64_MAX = 2**63 - 1
+
+
 def check_int(name: str, value, least: int):
-    """value, if it is an integer >= least."""
-    if isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool) and value >= least:
+    """value, if it is an integer >= least that int64 holds."""
+    if isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool) and least <= value <= _INT64_MAX:
         return value
     rule = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
     raise ValueError(f"{name} must be {rule}, got {value!r}")

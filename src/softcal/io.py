@@ -8,9 +8,9 @@ and float(), and that scan alone defines the accepted syntax and the error
 messages, so both paths return the same arrays or raise the same error.
 
 Run config JSON: four optional sections (data, model, train, loss) plus a
-seed.  Unknown keys anywhere are rejected rather than ignored, since a typo
-silently falling back to a default is the worst failure mode a config can
-have.
+seed, read into a RunConfig of a TaskSpec and a TrainConfig.  Unknown keys
+anywhere are rejected rather than ignored, since a typo silently falling
+back to a default is the worst failure mode a config can have.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ import csv
 import json
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
-from inspect import signature
 
 import numpy as np
 
 from .data import EvalSet, IngestionError
 from .losses import LossSpec
-from .synthetic import check_task_args, make_synthetic_task
+from .synthetic import TaskSpec
 from .trainer import TrainConfig
 
 
@@ -138,83 +137,65 @@ def write_logits_csv(path: str, eval_set: EvalSet) -> None:
                 handle.write(f"{label},{','.join(map(repr, row))}\n")
 
 
-def _as_json(value):
-    return list(value) if isinstance(value, tuple) else value
-
-
-# Every default comes from the dataclass or signature it configures, tuples
-# written as JSON lists; make_synthetic_task has none for kind and n.
-_LOSS_DEFAULTS = {f.name: f.default for f in fields(LossSpec)}
-_DATA_DEFAULTS = {"kind": "gaussian-blobs", "n": 2000} | {
-    name: _as_json(param.default)
-    for name, param in signature(make_synthetic_task).parameters.items()
-    if param.default is not param.empty
+# The file layout: which JSON section holds which dataclass fields.  data is
+# the TaskSpec, loss the LossSpec, and model and train hold the TrainConfig
+# fields but the loss and the seed, which sits at the top level.  Every key
+# and default is a field of those dataclasses, and no two share a name.
+_SECTION_KEYS = {
+    "data": tuple(f.name for f in fields(TaskSpec)),
+    "model": ("hidden",),
+    "train": tuple(f.name for f in fields(TrainConfig) if f.name not in ("loss", "seed", "hidden")),
+    "loss": tuple(f.name for f in fields(LossSpec)),
 }
-_TRAIN_DEFAULTS = {f.name: _as_json(f.default) for f in fields(TrainConfig) if f.name not in ("loss", "seed")}
-_MODEL_DEFAULTS = {"hidden": _TRAIN_DEFAULTS.pop("hidden")}
-_TOP_KEYS = ("seed", "data", "model", "train", "loss")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with every default filled in."""
+    """A checked run config: the task, and the training settings with the loss and seed."""
 
-    seed: int
-    data: dict
-    model: dict
-    train: dict
-    loss: dict
+    task: TaskSpec
+    train: TrainConfig
 
-    def loss_spec(self) -> LossSpec:
-        return LossSpec(**self.loss)
-
-    def train_config(self) -> TrainConfig:
-        settings = as_arguments({**self.model, **self.train})
-        return TrainConfig(loss=self.loss_spec(), seed=self.seed, **settings)
+    @property
+    def seed(self) -> int:
+        return self.train.seed
 
     def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, train=replace(self.train, seed=int(seed)))
 
-    def with_loss(self, loss_spec: LossSpec) -> "RunConfig":
-        return replace(self, loss=asdict(loss_spec))
-
-
-def as_arguments(section: dict) -> dict:
-    """A config section as keyword arguments: JSON lists become tuples."""
-    return {name: tuple(value) if isinstance(value, list) else value for name, value in section.items()}
+    def as_json(self) -> dict:
+        """The config file's layout, every default filled in."""
+        values = {**asdict(self.task), **asdict(self.train), **asdict(self.train.loss)}
+        return {"seed": self.seed} | {name: {key: values[key] for key in keys} for name, keys in _SECTION_KEYS.items()}
 
 
-def _merge_section(name: str, given: dict, defaults: dict) -> dict:
+def _section(doc: dict, name: str) -> dict:
+    """The keys given in one section, JSON lists as tuples like the list
+    settings of TaskSpec and TrainConfig; loss has none and quotes a list as given."""
+    given = doc.get(name, {})
     if not isinstance(given, dict):
         raise UsageError(f"config section {name!r} must be an object")
-    unknown = set(given) - set(defaults)
+    unknown = set(given) - set(_SECTION_KEYS[name])
     if unknown:
         raise UsageError(f"unknown key(s) in config section {name!r}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(given)
-    return merged
+    if name == "loss":
+        return given
+    return {key: tuple(value) if isinstance(value, list) else value for key, value in given.items()}
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise UsageError("run config must be a JSON object")
-    unknown = set(doc) - set(_TOP_KEYS)
+    unknown = set(doc) - {"seed", *_SECTION_KEYS}
     if unknown:
         raise UsageError(f"unknown top-level config key(s): {sorted(unknown)}")
+    data, model, train, loss = (_section(doc, name) for name in _SECTION_KEYS)
+    # Building the dataclasses checks every value, so bad ones fail at load time.
     try:
-        cfg = RunConfig(
-            seed=doc.get("seed", 0),
-            data=_merge_section("data", doc.get("data", {}), _DATA_DEFAULTS),
-            model=_merge_section("model", doc.get("model", {}), _MODEL_DEFAULTS),
-            train=_merge_section("train", doc.get("train", {}), _TRAIN_DEFAULTS),
-            loss=_merge_section("loss", doc.get("loss", {}), _LOSS_DEFAULTS),
-        )
-        # Construct the typed objects eagerly so bad values fail at load time.
-        cfg.train_config()
-        check_task_args(**as_arguments(cfg.data))
+        train = TrainConfig(loss=LossSpec(**loss), seed=doc.get("seed", 0), **model, **train)
+        return RunConfig(task=TaskSpec(**data), train=train)
     except (TypeError, ValueError) as err:
         raise UsageError(f"invalid config value: {err}") from err
-    return cfg
 
 
 def load_json(path: str):

@@ -21,6 +21,41 @@ TASK_KINDS = ("gaussian-blobs", "noisy-moons", "label-noise-blobs")
 
 
 @dataclass(frozen=True)
+class TaskSpec:
+    """The settings of make_synthetic_task but its seed, checked when built."""
+
+    kind: str = "gaussian-blobs"
+    n: int = 2000
+    classes: int = 2
+    dim: int = 2
+    noise: float = 1.0
+    separation: float = 6.0
+    flip_rate: float = 0.2
+    splits: tuple = (0.5, 0.25, 0.25)
+
+    def __post_init__(self):
+        check_choice("kind", self.kind, TASK_KINDS)
+        for name, least in (("n", 100), ("classes", 2), ("dim", 2)):
+            check_int(name, getattr(self, name), least)
+        check_real("noise", self.noise, 0)
+        check_real("separation", self.separation, 0)
+        check_real("flip_rate", self.flip_rate, 0, 1)
+        if not (isinstance(self.splits, (list, tuple)) and len(self.splits) == 3
+                and abs(sum(check_real("splits entry", s, 0, 1, strict=True) for s in self.splits) - 1.0) <= 1e-9):
+            raise ValueError(f"splits must be three positive fractions summing to 1, got {self.splits!r}")
+        if min(self.split_sizes) < 1:
+            raise ValueError(f"splits must leave train, val and test non-empty at n = {self.n}, "
+                             f"got sizes {self.split_sizes}")
+
+    @property
+    def split_sizes(self) -> tuple[int, int, int]:
+        """The train, val and test sizes: the first two fractions of n rounded, the rest test."""
+        n_train = int(round(self.splits[0] * self.n))
+        n_val = int(round(self.splits[1] * self.n))
+        return n_train, n_val, self.n - n_train - n_val
+
+
+@dataclass(frozen=True)
 class SyntheticTask:
     kind: str
     num_classes: int
@@ -43,12 +78,10 @@ def _blob_means(classes: int, separation: float, dim: int) -> np.ndarray:
     return means
 
 
-def _sample_blobs(
-    n: int, classes: int, dim: int, noise: float, separation: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    means = _blob_means(classes, separation, dim)
-    y = rng.integers(0, classes, size=n)
-    x = means[y] + noise * rng.standard_normal((n, dim))
+def _sample_blobs(spec: TaskSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    means = _blob_means(spec.classes, spec.separation, spec.dim)
+    y = rng.integers(0, spec.classes, size=spec.n)
+    x = means[y] + spec.noise * rng.standard_normal((spec.n, spec.dim))
     return x, y
 
 
@@ -69,55 +102,28 @@ def _sample_moons(n: int, noise: float, rng: np.random.Generator) -> tuple[np.nd
     return x[perm], y[perm]
 
 
-def _flip_labels(
-    y: np.ndarray, classes: int, flip_rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    flip = rng.random(y.size) < flip_rate
-    offsets = rng.integers(1, classes, size=y.size)
-    return np.where(flip, (y + offsets) % classes, y)
+def _flip_labels(y: np.ndarray, spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
+    flip = rng.random(y.size) < spec.flip_rate
+    offsets = rng.integers(1, spec.classes, size=y.size)
+    return np.where(flip, (y + offsets) % spec.classes, y)
 
 
-def check_task_args(
-    kind: str, n: int, classes: int, dim: int, noise: float, separation: float, flip_rate: float, splits: tuple
-) -> None:
-    """Raise the ValueError make_synthetic_task gives for these arguments, if any."""
-    check_choice("kind", kind, TASK_KINDS)
-    for name, value, least in (("n", n, 100), ("classes", classes, 2), ("dim", dim, 2)):
-        check_int(name, value, least)
-    check_real("noise", noise, 0)
-    check_real("separation", separation, 0)
-    check_real("flip_rate", flip_rate, 0, 1)
-    if not (isinstance(splits, (list, tuple)) and len(splits) == 3
-            and abs(sum(check_real("splits entry", s, 0, 1, strict=True) for s in splits) - 1.0) <= 1e-9):
-        raise ValueError(f"splits must be three positive fractions summing to 1, got {splits!r}")
-
-
-def make_synthetic_task(
-    kind: str,
-    n: int,
-    seed: int,
-    classes: int = 2,
-    dim: int = 2,
-    noise: float = 1.0,
-    separation: float = 6.0,
-    flip_rate: float = 0.2,
-    splits: tuple[float, float, float] = (0.5, 0.25, 0.25),
-) -> SyntheticTask:
-    """Sample n examples and split them train/val/test by the given fractions."""
-    check_task_args(kind, n, classes, dim, noise, separation, flip_rate, splits)
+def make_synthetic_task(kind: str, n: int, seed: int, **settings) -> SyntheticTask:
+    """Sample n examples of the task TaskSpec(kind, n, **settings) describes
+    and split them train/val/test by its split sizes."""
+    spec = TaskSpec(kind, n, **settings)
     rng = np.random.default_rng(check_int("seed", seed, 0))
+    classes = spec.classes
     if kind == "noisy-moons":
         classes = 2
-        x, y = _sample_moons(n, noise, rng)
+        x, y = _sample_moons(n, spec.noise, rng)
     else:
-        x, y = _sample_blobs(n, classes, dim, noise, separation, rng)
+        x, y = _sample_blobs(spec, rng)
         if kind == "label-noise-blobs":
-            y = _flip_labels(y, classes, flip_rate, rng)
+            y = _flip_labels(y, spec, rng)
 
-    n_train = int(round(splits[0] * n))
-    n_val = int(round(splits[1] * n))
     perm = rng.permutation(n)
-    tr, va, te = perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
+    tr, va, te = np.split(perm, np.cumsum(spec.split_sizes[:2]))
     return SyntheticTask(
         kind=kind,
         num_classes=classes,

@@ -5,11 +5,22 @@ actually smooth at the sample: no near-ties in the argmax (confidence kinks),
 and for the hard AvUC threshold a kappa sitting in a real entropy gap.
 """
 
-import numpy as np
-import pytest
-from hypothesis import settings
+import os
 
-import oracles
+from digests import THREAD_VARS
+
+# One BLAS thread, as in CI and tests/digests.py, unless the caller chose a
+# count: set before numpy loads BLAS.  Two OpenBLAS threads on a 2-core box
+# took the README tour test from 3.6 s to 6.7 s.  Tests that run children
+# with another count set it in the child's environment.
+for var in THREAD_VARS:
+    os.environ.setdefault(var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+import oracles  # noqa: E402
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")

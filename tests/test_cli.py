@@ -373,6 +373,21 @@ def test_a_negative_seed_exits_64_before_the_output_directory_is_made(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_a_seed_past_int64_exits_64_before_the_output_directory_is_made(
+    capsys, monkeypatch, train_config, tmp_path, source
+):
+    out_dir = tmp_path / "o"
+    argv = ["train", "--config", train_config, "--out", str(out_dir)]
+    argv += ["--seed", str(2**63)] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("CALREF_SEED", str(2**63))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"usage error: {'--seed' if source == 'flag' else 'CALREF_SEED'} must be a non-negative")
+    assert not out_dir.exists()
+
+
 def test_warnings_are_printed_once_each_on_success(capsys, tmp_path):
     inert = "beta = 0.0 with secondary = 'sb-ece': the secondary term is inert or unweighted"
     config = tmp_path / "run.json"
@@ -458,6 +473,18 @@ def test_non_integer_or_non_positive_sizes_exit_64_before_training(capsys, tmp_p
         {"train": {"learning_rate": float("nan")}},
         {"train": {"lr_drop_factor": "x"}},
         {"train": {"learning_rate": 10**400}},
+        # Splits that leave the test, train or val part empty at this n.
+        {"data": {"n": 100, "splits": [0.5, 0.495, 0.005]}},
+        {"data": {"n": 100, "splits": [0.004, 0.5, 0.496]}},
+        {"data": {"n": 100, "splits": [0.5, 0.004, 0.496]}},
+        # Integers past int64.
+        {"data": {"n": 10**400}},
+        {"data": {"classes": 10**400}},
+        {"data": {"dim": 10**400}},
+        {"model": {"hidden": [10**400]}},
+        {"train": {"eval_bins": 10**400}},
+        {"loss": {"secondary": "sb-ece", "beta": 1.0, "bins": 10**400}},
+        {"seed": 2**63},
     ],
 )
 def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_path, section):

@@ -9,14 +9,19 @@ import math
 import os
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from softcal import LossSpec, TaskSpec, TrainConfig
 from softcal.cli import main
-from softcal.losses import SECONDARIES
+from softcal.io import run_config_from_dict
+from softcal.losses import PRIMARIES, SECONDARIES
+from softcal.metrics import MODES
+from softcal.synthetic import TASK_KINDS
 from softcal.trainer import SWEEP_ORDER
 
 CLEAN = st.one_of(st.floats(-50.0, 50.0).map(repr), st.sampled_from(["1e308", "-1e308", "0"]))
@@ -106,36 +111,80 @@ def test_csv_commands_exit_0_2_or_64_with_one_line_of_reason(tmp_path, command, 
     check_stdout(name, out)
 
 
-# A seed flag or CALREF_SEED value, one in four of them not a non-negative integer.
+# A seed flag or CALREF_SEED value, one in four of them not a non-negative
+# integer that int64 holds.
 GOOD_SEED = st.integers(0, 99).map(str)
-SEED_TEXT = st.one_of(GOOD_SEED, GOOD_SEED, GOOD_SEED, st.sampled_from(["-3", "-1", "x", "1.5", ""]))
+BAD_SEEDS = ["-3", "-1", "x", "1.5", "", str(2**63)]
+SEED_TEXT = st.one_of(GOOD_SEED, GOOD_SEED, GOOD_SEED, st.sampled_from(BAD_SEEDS))
+
+# A valid value for every field of TaskSpec, TrainConfig and LossSpec, at
+# tiny sizes: n <= 200, epochs <= 2, widths <= 8.  A learning rate of 1e300
+# diverges, beta may not match the secondary, and the last two splits leave
+# the test or the train part empty at some n drawn here.
+VALID = {
+    # TaskSpec
+    "kind": st.sampled_from(TASK_KINDS),
+    "n": st.integers(100, 200),
+    "classes": st.integers(2, 4),
+    "dim": st.integers(2, 4),
+    "noise": st.sampled_from([0.0, 0.5, 1]),
+    "separation": st.sampled_from([0, 6.0]),
+    "flip_rate": st.sampled_from([0.0, 0.2, 1.0]),
+    "splits": st.sampled_from([[0.5, 0.25, 0.25], [0.6, 0.2, 0.2], [0.5, 0.495, 0.005], [0.004, 0.5, 0.496]]),
+    # TrainConfig
+    "hidden": st.lists(st.integers(1, 8), max_size=2),
+    "learning_rate": st.sampled_from([0.1, 1.0, 1e300]),
+    "epochs": st.integers(1, 2),
+    "batch_size": st.sampled_from([16, 64]),
+    "seed": st.sampled_from([0, 7, 2**40]),
+    "lr_drop_epochs": st.lists(st.integers(0, 2), max_size=2),
+    "lr_drop_factor": st.sampled_from([0.1, 0.5]),
+    "eval_bins": st.integers(1, 15),
+    # LossSpec
+    "primary": st.sampled_from(PRIMARIES),
+    "gamma": st.sampled_from([0.0, 3.0]),
+    "secondary": st.sampled_from(SECONDARIES),
+    "beta": st.sampled_from([0.0, 0.5, 1.0]),
+    "lam": st.sampled_from([0.0, 1e-3]),
+    "bins": st.integers(1, 15),
+    "bin_temperature": st.sampled_from([0.01, 0.5]),
+    "p": st.sampled_from([1.0, 2.0]),
+    "mode": st.sampled_from(MODES),
+    "kappa": st.sampled_from([0.5, 0.9]),
+    "soft_temperature": st.sampled_from([0.15, 1.0]),
+}
+EMPTY_SPLITS = ([0.5, 0.495, 0.005], [0.004, 0.5, 0.496])
+# JSON junk, some of it valid for some fields (-0.0 for noise, [] for hidden).
+JUNK = st.sampled_from([None, True, "x", [], {}, [[1]], 10**400, -0.0, -1])
+LAYOUT = run_config_from_dict({}).as_json()
 
 
-def pick(draw, dirty, clean, bad):
-    return draw(st.sampled_from(clean + bad if dirty else clean))
+def test_the_config_fuzzer_draws_every_field_of_the_config_file():
+    names = {f.name for spec in (TaskSpec, TrainConfig, LossSpec) for f in fields(spec)} - {"loss"}
+    keys = {"seed", *LAYOUT["data"], *LAYOUT["model"], *LAYOUT["train"], *LAYOUT["loss"]}
+    assert set(VALID) == names == keys
 
 
 @st.composite
 def run_config(draw):
-    """A tiny run config (n <= 200, epochs <= 2, widths <= 8) whose beta may
-    not match its secondary and whose learning rate of 1e300 diverges; a
-    dirty config, one in two, may also hold values out of range or of the
-    wrong type, a negative seed among them."""
+    """A run config with every field, and the names a refusal of it may give.
+    A dirty config, one in two, holds junk in one or two fields, or in an
+    entry of a list field."""
     dirty = draw(st.booleans())
-    doc = {
-        "data": {"kind": pick(draw, dirty, ["gaussian-blobs", "label-noise-blobs"], ["spirals"]),
-                 "n": pick(draw, dirty, [120, 200], [50])},
-        "model": {"hidden": draw(st.lists(st.integers(0 if dirty else 1, 8), max_size=2))},
-        "train": {"epochs": pick(draw, dirty, [1, 2], [0]), "batch_size": pick(draw, dirty, [16, 64], [0]),
-                  "learning_rate": pick(draw, dirty, [0.1, 1.0, 1e300], [0.0])},
-        "loss": {"secondary": pick(draw, dirty, list(SECONDARIES), ["bogus"]),
-                 "beta": pick(draw, dirty, [0.0, 0.5, 1.0], [-1.0]),
-                 "kappa": pick(draw, dirty, [0.5, 0.9], [1.5]),
-                 "lam": pick(draw, dirty, [0.0, 1e-3], [-1e-3])},
-    }
-    if draw(st.booleans()):
-        doc["seed"] = pick(draw, dirty, [0, 7, 2**40], [-1, 1.5, "7", True, None])
-    return doc
+    junk = draw(st.lists(st.sampled_from(list(VALID)), min_size=1, max_size=2, unique=True)) if dirty else []
+
+    def value(name):
+        valid = draw(VALID[name], label=name)
+        if name not in junk:
+            return valid
+        if isinstance(valid, list) and draw(st.booleans()):
+            i = draw(st.integers(0, len(valid)))
+            return valid[:i] + [draw(JUNK)] + valid[i + 1:]
+        return draw(JUNK)
+
+    doc = {name: {key: value(key) for key in section} if isinstance(section, dict) else value(name)
+           for name, section in LAYOUT.items()}
+    return doc, {*junk, *(["splits"] if doc["data"]["splits"] in EMPTY_SPLITS else [])}
 
 
 @st.composite
@@ -152,18 +201,25 @@ def sweep_grid(draw):
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
-@settings(max_examples=60)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_train_and_sweep_exit_0_2_3_or_64_with_one_line_of_reason(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "run.json").write_text(json.dumps(data.draw(run_config(), label="config")))
+        config, named = data.draw(run_config(), label="config")
+        (root / "run.json").write_text(json.dumps(config))
         argv = [command, "--config", str(root / "run.json"), "--out", str(root / "out")]
         if command == "sweep":
             (root / "grid.json").write_text(json.dumps(data.draw(sweep_grid(), label="grid")))
             argv += ["--grid", str(root / "grid.json")]
-        argv += data.draw(st.one_of(st.just([]), SEED_TEXT.map(lambda v: ["--seed", v])), label="flag")
+            named |= {"grid", "sweep parameter"}
+        flag = data.draw(st.one_of(st.just([]), SEED_TEXT.map(lambda v: ["--seed", v])), label="flag")
+        argv += flag
         env = data.draw(st.one_of(st.none(), SEED_TEXT), label="CALREF_SEED")
+        if flag and flag[1] in BAD_SEEDS:
+            named.add("--seed")
+        if env in BAD_SEEDS:
+            named.add("CALREF_SEED")
         with mock.patch.dict(os.environ):
             os.environ.pop("CALREF_SEED", None)
             if env is not None:
@@ -173,8 +229,10 @@ def test_train_and_sweep_exit_0_2_3_or_64_with_one_line_of_reason(command, data)
         assert code in (0, 2, 3, 64) and "internal error" not in err, err
         if code:
             assert out == "" and len(err.splitlines()) == 1, err
-            # Configs, seeds and grids are checked before the output directory is made.
+            # Configs, seeds and grids are checked before the output directory
+            # is made, and a refusal names a junk field, the seed or the grid.
             assert code != 64 or not (root / "out").exists(), err
+            assert code != 64 or any(name in err for name in named), (err, named)
             return
         assert all(line.startswith("warning: ") for line in err.splitlines()), err
         assert json.loads(out)["out"] == str(root / "out")

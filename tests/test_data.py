@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from softcal import AvucSpec, BinningSpec, EvalSet, IngestionError, LossSpec, SoftBinningSpec, summarize
+from softcal import AvucSpec, BinningSpec, EvalSet, IngestionError, LossSpec, SoftBinningSpec, TaskSpec, summarize
 from softcal.data import check_choice, check_int, check_real, entropy_nats
 from softcal.synthetic import make_synthetic_task
 from softcal.trainer import TrainConfig
@@ -229,15 +231,12 @@ def _task(**kwargs):
     return make_synthetic_task(**({"kind": "gaussian-blobs", "n": 100, "seed": 0} | kwargs))
 
 
+# Every field of the settings dataclasses but the list settings, TrainConfig's
+# loss and AvucSpec's gradient_stopping flag, and make_synthetic_task's seed.
 SCALAR_FIELDS = [
-    *((LossSpec, name) for name in ("primary", "gamma", "secondary", "beta", "lam", "bins",
-                                    "bin_temperature", "p", "mode", "kappa", "soft_temperature")),
-    *((TrainConfig, name) for name in ("learning_rate", "epochs", "batch_size", "seed",
-                                       "lr_drop_factor", "eval_bins")),
-    (BinningSpec, "scheme"), (BinningSpec, "num_bins"),
-    (SoftBinningSpec, "num_bins"), (SoftBinningSpec, "temperature"),
-    (AvucSpec, "kappa"), (AvucSpec, "temperature"),
-    *((_task, name) for name in ("kind", "n", "seed", "classes", "dim", "noise", "separation", "flip_rate")),
+    *((spec, f.name) for spec in (LossSpec, TrainConfig, TaskSpec, BinningSpec, SoftBinningSpec, AvucSpec)
+      for f in fields(spec) if not isinstance(f.default, (tuple, bool)) and f.name != "loss"),
+    (_task, "seed"),
 ]
 
 

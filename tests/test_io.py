@@ -1,5 +1,6 @@
 """Logits CSV parsing/writing and the JSON run configuration."""
 
+import json
 import warnings
 from dataclasses import asdict
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import softcal.io
-from softcal import LossSpec, TrainConfig
+from softcal import LossSpec, TaskSpec, TrainConfig
 from softcal.data import EvalSet
 from softcal.io import (
     DataError,
@@ -234,20 +235,21 @@ def test_writer_is_byte_identical_to_the_per_element_writer(tmp_path):
 def test_empty_config_fills_every_default():
     cfg = run_config_from_dict({})
     assert cfg.seed == 0
-    assert cfg.data["kind"] == "gaussian-blobs"
-    assert cfg.model["hidden"] == [64, 64]
-    assert cfg.train["epochs"] == 40
-    assert cfg.loss["primary"] == "nll"
-    assert cfg.loss_spec() == LossSpec()
-    assert cfg.train_config() == TrainConfig()
+    assert cfg.task == TaskSpec() and cfg.train == TrainConfig()
+    layout = json.loads(json.dumps(cfg.as_json()))
+    assert list(layout) == ["seed", "data", "model", "train", "loss"]
+    assert layout["data"]["kind"] == "gaussian-blobs"
+    assert layout["model"] == {"hidden": [64, 64]}
+    assert layout["train"]["epochs"] == 40 and "seed" not in layout["train"]
+    assert layout["loss"] == asdict(LossSpec())
 
 
 def test_partial_sections_merge_over_defaults():
     cfg = run_config_from_dict(
         {"seed": 7, "train": {"epochs": 3}, "loss": {"secondary": "s-avuc", "beta": 2.0}}
     )
-    tc = cfg.train_config()
-    assert tc.seed == 7 and tc.epochs == 3 and tc.batch_size == 64
+    tc = cfg.train
+    assert cfg.seed == tc.seed == 7 and tc.epochs == 3 and tc.batch_size == 64
     assert tc.loss.secondary == "s-avuc" and tc.loss.beta == 2.0
     assert isinstance(tc.hidden, tuple) and isinstance(tc.lr_drop_epochs, tuple)
 
@@ -276,12 +278,18 @@ def test_bad_values_fail_at_load_time():
         run_config_from_dict({"loss": {"primary": "hinge"}})
 
 
-def test_with_seed_and_with_loss_round_trip():
+def test_with_seed_and_as_json_round_trip():
     cfg = run_config_from_dict({"seed": 1})
-    assert cfg.with_seed(9).seed == 9
-    spec = LossSpec(secondary="avuc", beta=0.5, kappa=0.3)
-    assert cfg.with_loss(spec).loss_spec() == spec
-    assert run_config_from_dict(asdict(cfg)) == cfg
+    assert cfg.with_seed(9).seed == cfg.with_seed(9).train.seed == 9
+    assert cfg.with_seed(9).train.loss == cfg.train.loss
+    assert run_config_from_dict(cfg.as_json()) == cfg
+    doc = {"seed": 3, "data": {"kind": "noisy-moons", "n": 300, "splits": [0.6, 0.2, 0.2]},
+           "model": {"hidden": [8]}, "train": {"lr_drop_epochs": [1, 2]},
+           "loss": {"secondary": "avuc", "beta": 0.5, "kappa": 0.3}}
+    cfg = run_config_from_dict(doc)
+    layout = json.loads(json.dumps(cfg.as_json()))
+    assert run_config_from_dict(layout) == cfg
+    assert all(layout[name] | section == layout[name] for name, section in doc.items() if name != "seed")
 
 
 def test_load_run_config_errors(tmp_path):
@@ -294,4 +302,4 @@ def test_load_run_config_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text('{"seed": 4, "model": {"hidden": [8]}}')
     cfg = load_run_config(str(good))
-    assert cfg.seed == 4 and cfg.model["hidden"] == [8]
+    assert cfg.seed == 4 and cfg.train.hidden == (8,)

@@ -1,9 +1,11 @@
 """Synthetic task generators: validation, determinism, splits, geometry."""
 
+import re
+
 import numpy as np
 import pytest
 
-from softcal import TASK_KINDS, make_synthetic_task
+from softcal import TASK_KINDS, TaskSpec, make_synthetic_task
 
 
 def blob_means(classes, separation, dim):
@@ -49,6 +51,20 @@ def test_split_sizes_follow_fractions():
     assert len(task.y_train) == int(round(0.6 * 997))
     assert len(task.y_val) == int(round(0.2 * 997))
     assert len(task.y_train) + len(task.y_val) + len(task.y_test) == 997
+
+
+@pytest.mark.parametrize("n, splits, sizes", [
+    (100, (0.5, 0.495, 0.005), (50, 50, 0)),
+    (100, (0.004, 0.5, 0.496), (0, 50, 50)),
+    (100, (0.5, 0.004, 0.496), (50, 0, 50)),
+])
+def test_splits_that_leave_a_part_empty_are_refused(n, splits, sizes):
+    with pytest.raises(ValueError, match=rf"^splits must leave .* at n = {n}, got sizes {re.escape(str(sizes))}$"):
+        make_synthetic_task("gaussian-blobs", n, seed=0, splits=splits)
+    # The same fractions leave every part non-empty at a larger n.
+    task = make_synthetic_task("gaussian-blobs", 10 * n, seed=0, splits=splits)
+    assert min(len(task.y_train), len(task.y_val), len(task.y_test)) >= 1
+    assert TaskSpec(n=10 * n, splits=splits).split_sizes == (len(task.y_train), len(task.y_val), len(task.y_test))
 
 
 def test_same_seed_reproduces_every_array():
