@@ -3,7 +3,6 @@ temperature scaling, and a small deterministic numpy trainer."""
 
 from .avuc import (
     AvucCounts,
-    AvucSpec,
     DegenerateBatchError,
     avuc_grad,
     s_avuc_grad,
@@ -49,7 +48,6 @@ __all__ = [
     "BINNED",
     "LABEL_BINNED",
     "AvucCounts",
-    "AvucSpec",
     "BinStats",
     "BinningSpec",
     "DegenerateBatchError",

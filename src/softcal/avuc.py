@@ -36,23 +36,6 @@ class DegenerateBatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class AvucSpec:
-    """kappa: entropy threshold (nats for the hard loss, normalized-entropy
-    fraction in (0, 1) for the soft loss).  temperature: softness of the
-    uncertainty score, required by the soft loss.  gradient_stopping: freeze
-    the confidence multiplicands in the hard loss's backward pass."""
-
-    kappa: float = 0.5
-    temperature: float | None = None
-    gradient_stopping: bool = False
-
-    def __post_init__(self):
-        check_real("kappa", self.kappa, 0, strict=True)
-        if self.temperature is not None:
-            check_real("soft_temperature", self.temperature, 0, strict=True)
-
-
-@dataclass(frozen=True)
 class AvucCounts:
     """Weighted mass per accuracy x certainty cell."""
 
@@ -105,13 +88,14 @@ def _loss_from(counts: AvucCounts) -> float:
     return float(np.log1p(counts.numerator / counts.denominator))
 
 
-def _avuc_forward(summary: PredictionSummary, spec: AvucSpec):
+def _avuc_forward(summary: PredictionSummary, kappa: float):
     """Loss, counts, tanh(h) and the accurate and certain masks of the hard
     loss, where h = kappa counts as certain: the forward half of avuc_grad."""
+    check_real("kappa", kappa, 0, strict=True)
     c = summary.confidence
     w = np.tanh(summary.entropy)
     a = summary.accuracy.astype(bool)
-    certain = summary.entropy <= spec.kappa
+    certain = summary.entropy <= kappa
     counts = AvucCounts(
         n_ac=float((c * (1.0 - w))[a & certain].sum()),
         n_au=float((c * w)[a & ~certain].sum()),
@@ -121,13 +105,12 @@ def _avuc_forward(summary: PredictionSummary, spec: AvucSpec):
     return _loss_from(counts), counts, w, a, certain
 
 
-def avuc_grad(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, np.ndarray]:
-    """AvUC value and gradient with respect to the logits, shape (N, K).
-
-    With spec.gradient_stopping the confidence factors are held constant, so
-    gradient flows only through tanh(h); the forward value is unchanged.
-    """
-    value, counts, w, a, certain = _avuc_forward(summary, spec)
+def avuc_grad(summary: PredictionSummary, kappa: float, gradient_stopping: bool = False) -> tuple[float, np.ndarray]:
+    """AvUC value and gradient with respect to the logits, shape (N, K), at the
+    entropy threshold kappa > 0 (nats).  With gradient_stopping (AvUC-GS) the
+    confidence factors are held constant, so gradient flows only through
+    tanh(h); the forward value is unchanged."""
+    value, counts, w, a, certain = _avuc_forward(summary, kappa)
     c = summary.confidence
     q, d = counts.numerator, counts.denominator
     dl_dq = 1.0 / (q + d)
@@ -139,19 +122,17 @@ def avuc_grad(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, np.nda
     slope = np.where(a == certain, dl_dd, dl_dq)
     dh = np.where(certain, -slope, slope) * np.where(a, c, 1.0 - c) * (1.0 - w**2)
     grad = dh[:, None] * entropy_logit_jacobian(summary)
-    if not spec.gradient_stopping:
+    if not gradient_stopping:
         dc = np.where(a, slope, -slope) * np.where(certain, 1.0 - w, w)
         grad += dc[:, None] * confidence_logit_jacobian(summary)
     return value, grad
 
 
-def _s_avuc_forward(summary: PredictionSummary, spec: AvucSpec):
+def _s_avuc_forward(summary: PredictionSummary, kappa: float, temperature: float):
     """Loss, counts, soft uncertainty t, tanh(h) and accuracy of S-AvUC: the
     forward half of s_avuc_grad.  Every example feeds both its numerator
     and its denominator cell, weighted by t and (1 - t)."""
-    if spec.temperature is None:
-        raise ValueError("S-AvUC requires AvucSpec.temperature")
-    t = soft_uncertainty(summary.norm_entropy, spec.kappa, spec.temperature)
+    t = soft_uncertainty(summary.norm_entropy, kappa, temperature)
     w = np.tanh(summary.entropy)
     a = summary.accuracy.astype(bool)
     tw = t * w
@@ -165,11 +146,13 @@ def _s_avuc_forward(summary: PredictionSummary, spec: AvucSpec):
     return _loss_from(counts), counts, t, w, a
 
 
-def s_avuc_grad(summary: PredictionSummary, spec: AvucSpec) -> tuple[float, np.ndarray]:
-    """S-AvUC value and gradient with respect to the logits, shape (N, K)."""
-    value, counts, t, w, a = _s_avuc_forward(summary, spec)
+def s_avuc_grad(summary: PredictionSummary, kappa: float, temperature: float) -> tuple[float, np.ndarray]:
+    """S-AvUC value and gradient with respect to the logits, shape (N, K),
+    at the normalized-entropy threshold kappa in (0, 1) and the uncertainty
+    temperature > 0 of soft_uncertainty."""
+    value, counts, t, w, a = _s_avuc_forward(summary, kappa, temperature)
     sech2 = 1.0 - w**2
-    dt_dh = _soft_uncertainty_slope(summary.norm_entropy, t, spec.temperature) / np.log(summary.num_classes)
+    dt_dh = _soft_uncertainty_slope(summary.norm_entropy, t, temperature) / np.log(summary.num_classes)
     q, d = counts.numerator, counts.denominator
     dl_dq = 1.0 / (q + d)
     dl_dd = 1.0 / (q + d) - 1.0 / d

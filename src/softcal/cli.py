@@ -164,7 +164,10 @@ def cmd_train(args) -> int:
         config.train,
         num_classes=task.num_classes,
     )
-    test_set = EvalSet(model.forward(task.x_test)[0], task.y_test)
+    test_logits = model.forward(task.x_test)[0]
+    if not np.isfinite(test_logits).all():
+        raise TrainingDivergedError("non-finite test logits")
+    test_set = EvalSet(test_logits, task.y_test)
     summary = summarize(test_set)
     test_metrics = {
         "test_accuracy": float(summary.accuracy.mean()),

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .avuc import AvucSpec, avuc_grad, s_avuc_grad
+from .avuc import avuc_grad, s_avuc_grad
 from .binning import SoftBinningSpec
-from .data import PredictionSummary, check_choice, check_real, summarize_arrays
+from .data import PredictionSummary, check_choice, check_int, check_real, summarize_arrays
 from .metrics import LABEL_BINNED, MODES, sb_ece_grad
 
 PRIMARIES = ("nll", "focal", "mse")
@@ -52,9 +52,9 @@ class LossSpec:
             check_real(name, getattr(self, name), 0)
         check_choice("mode", self.mode, MODES)
         check_real("p", self.p, 1)
-        SoftBinningSpec(num_bins=self.bins, temperature=self.bin_temperature)
-        AvucSpec(kappa=self.kappa, temperature=self.soft_temperature)
-        check_real("soft_temperature", self.soft_temperature, 0, strict=True)  # AvucSpec allows None
+        check_int("bins", self.bins, 1)
+        for name in ("bin_temperature", "kappa", "soft_temperature"):
+            check_real(name, getattr(self, name), 0, strict=True)
         if self.secondary == "s-avuc":
             # S-AvUC thresholds normalized entropy, which lies in [0, 1].
             check_real("kappa", self.kappa, 0, 1, strict=True, suffix=" for s-avuc")
@@ -148,11 +148,9 @@ def secondary_loss(summary: PredictionSummary, spec: LossSpec) -> tuple[float, n
         sbspec = SoftBinningSpec(num_bins=spec.bins, temperature=spec.bin_temperature)
         return sb_ece_grad(summary, sbspec, p=spec.p, mode=spec.mode)
     if spec.secondary in ("avuc", "avuc-gs"):
-        aspec = AvucSpec(kappa=spec.kappa, gradient_stopping=spec.secondary == "avuc-gs")
-        return avuc_grad(summary, aspec)
+        return avuc_grad(summary, spec.kappa, spec.secondary == "avuc-gs")
     if spec.secondary == "s-avuc":
-        aspec = AvucSpec(kappa=spec.kappa, temperature=spec.soft_temperature)
-        return s_avuc_grad(summary, aspec)
+        return s_avuc_grad(summary, spec.kappa, spec.soft_temperature)
     raise ValueError(f"no secondary loss configured: {spec.secondary!r}")
 
 

@@ -17,7 +17,6 @@ import oracles
 from conftest import avuc_batch, random_batch
 
 from softcal import (
-    AvucSpec,
     BinningSpec,
     EvalSet,
     LossSpec,
@@ -142,7 +141,7 @@ def _grad_case(rng, family):
         z, y, kappa = avuc_batch(rng)
         s = summarize(EvalSet(z, y))
         stopped = family == "avuc-gs"
-        grad = avuc_grad(s, AvucSpec(kappa=kappa, gradient_stopping=stopped))[1]
+        grad = avuc_grad(s, kappa, gradient_stopping=stopped)[1]
         frozen = np.asarray(oracles.predictions_ld(z)[1]) if stopped else None
         return grad, lambda q: oracles.avuc_ld(q, y, kappa, frozen_conf=frozen), z
 
@@ -151,7 +150,7 @@ def _grad_case(rng, family):
         s = summarize(EvalSet(z, y))
         kappa = float(rng.uniform(0.1, 0.9))
         t = float(10 ** rng.uniform(-1.0, 0.0))
-        grad = s_avuc_grad(s, AvucSpec(kappa=kappa, temperature=t))[1]
+        grad = s_avuc_grad(s, kappa, t)[1]
         return grad, lambda q: oracles.s_avuc_ld(q, y, kappa, t), z
 
     assert family == "composite"

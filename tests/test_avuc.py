@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import avuc_batch, random_batch
 from softcal import (
-    AvucSpec,
     DegenerateBatchError,
     EvalSet,
     PredictionSummary,
@@ -33,26 +32,27 @@ def raw_summary(conf, entropy, acc, k=2):
     return summary
 
 
-def test_avuc_spec_validation():
-    with pytest.raises(ValueError):
-        AvucSpec(kappa=0.0)
-    with pytest.raises(ValueError):
-        AvucSpec(kappa=0.5, temperature=-1.0)
+def test_avuc_kernels_refuse_a_bad_kappa_or_temperature_naming_it():
+    s = raw_summary([0.7], [0.3], [1])
+    with pytest.raises(ValueError, match="^kappa must be > 0, got 0.0"):
+        avuc_grad(s, 0.0)
+    with pytest.raises(ValueError, match="^temperature must be > 0, got -1.0"):
+        s_avuc_grad(s, 0.5, -1.0)
 
 
 def test_avuc_two_point_fixture():
     # one accurate-certain and one inaccurate-certain example, both c=0.75,
     # same entropy: the tanh factors cancel and the loss is log(4/3)
     s = raw_summary([0.75, 0.75], [0.2, 0.2], [1, 0])
-    value, _ = avuc_grad(s, AvucSpec(kappa=0.5))
-    counts = _avuc_forward(s, AvucSpec(kappa=0.5))[1]
+    value, _ = avuc_grad(s, 0.5)
+    counts = _avuc_forward(s, 0.5)[1]
     assert value == pytest.approx(np.log(4.0 / 3.0), abs=1e-15)
     assert counts.n_au == 0.0 and counts.n_iu == 0.0
 
 
 def test_avuc_entropy_equal_to_kappa_counts_certain():
     s = raw_summary([0.9, 0.9], [0.5, 0.7], [1, 0])
-    counts = _avuc_forward(s, AvucSpec(kappa=0.5))[1]
+    counts = _avuc_forward(s, 0.5)[1]
     assert counts.n_ac > 0.0  # the h = kappa example landed in the certain cell
     assert counts.n_au == 0.0
 
@@ -61,7 +61,7 @@ def test_avuc_degenerate_batch_raises():
     # every example inaccurate and certain: denominator n_AC + n_IU is empty
     s = raw_summary([0.9, 0.8], [0.1, 0.1], [0, 0])
     with pytest.raises(DegenerateBatchError):
-        avuc_grad(s, AvucSpec(kappa=0.5))
+        avuc_grad(s, 0.5)
 
 
 def test_avuc_nonnegative_and_matches_reference():
@@ -69,7 +69,7 @@ def test_avuc_nonnegative_and_matches_reference():
     for _ in range(20):
         z, y, kappa = avuc_batch(rng)
         s = summarize(EvalSet(z, y))
-        value, _ = avuc_grad(s, AvucSpec(kappa=kappa))
+        value, _ = avuc_grad(s, kappa)
         assert value >= 0.0
         assert value == pytest.approx(float(oracles.avuc_ld(z, y, kappa)), rel=1e-12)
 
@@ -79,8 +79,8 @@ def test_gradient_stopping_preserves_forward_value():
     for _ in range(10):
         z, y, kappa = avuc_batch(rng)
         s = summarize(EvalSet(z, y))
-        v_plain, _ = avuc_grad(s, AvucSpec(kappa=kappa))
-        v_gs, _ = avuc_grad(s, AvucSpec(kappa=kappa, gradient_stopping=True))
+        v_plain, _ = avuc_grad(s, kappa)
+        v_gs, _ = avuc_grad(s, kappa, gradient_stopping=True)
         assert v_plain == v_gs
 
 
@@ -90,7 +90,7 @@ def test_avuc_gradient():
     for _ in range(20):
         z, y, kappa = avuc_batch(rng)
         s = summarize(EvalSet(z, y))
-        _, grad = avuc_grad(s, AvucSpec(kappa=kappa))
+        _, grad = avuc_grad(s, kappa)
         fd = oracles.fd_grad(lambda q: oracles.avuc_ld(q, y, kappa), z)
         worst = max(worst, oracles.max_rel_err(grad, fd))
     assert worst <= 1e-4, worst
@@ -102,7 +102,7 @@ def test_avuc_gs_gradient_matches_frozen_confidence_oracle():
     for _ in range(20):
         z, y, kappa = avuc_batch(rng)
         s = summarize(EvalSet(z, y))
-        _, grad = avuc_grad(s, AvucSpec(kappa=kappa, gradient_stopping=True))
+        _, grad = avuc_grad(s, kappa, gradient_stopping=True)
         conf0 = s.confidence.copy()
         fd = oracles.fd_grad(lambda q: oracles.avuc_ld(q, y, kappa, frozen_conf=conf0), z)
         worst = max(worst, oracles.max_rel_err(grad, fd))
@@ -115,10 +115,9 @@ def test_value_and_gradient_apis_share_one_forward():
         z, y, kappa = avuc_batch(rng)
         s = summarize(EvalSet(z, y))
         for stopped in (False, True):
-            spec = AvucSpec(kappa=kappa, gradient_stopping=stopped)
-            assert _avuc_forward(s, spec)[0] == avuc_grad(s, spec)[0]
-        spec = AvucSpec(kappa=float(rng.uniform(0.1, 0.9)), temperature=float(10 ** rng.uniform(-1.0, 0.5)))
-        assert _s_avuc_forward(s, spec)[0] == s_avuc_grad(s, spec)[0]
+            assert _avuc_forward(s, kappa)[0] == avuc_grad(s, kappa, stopped)[0]
+        soft = (float(rng.uniform(0.1, 0.9)), float(10 ** rng.uniform(-1.0, 0.5)))
+        assert _s_avuc_forward(s, *soft)[0] == s_avuc_grad(s, *soft)[0]
 
 
 def test_soft_uncertainty_frozen_value():
@@ -167,18 +166,12 @@ def test_soft_uncertainty_grad_zero_in_clamp_region():
     assert slope(0.5) > 0.0
 
 
-def test_s_avuc_requires_temperature():
-    s = raw_summary([0.7], [0.3], [1])
-    with pytest.raises(ValueError):
-        s_avuc_grad(s, AvucSpec(kappa=0.5))
-
-
 def test_s_avuc_single_example_fixture():
     # accurate example at h* = 1/2 with the identity uncertainty map:
     # t = 1/2 and tanh(ln2 / 2) = 1/3 exactly, so the loss is log(3/2)
     s = raw_summary([0.9], [0.5 * np.log(2)], [1], k=2)
-    value, _ = s_avuc_grad(s, AvucSpec(kappa=0.5, temperature=1.0))
-    counts = _s_avuc_forward(s, AvucSpec(kappa=0.5, temperature=1.0))[1]
+    value, _ = s_avuc_grad(s, 0.5, 1.0)
+    counts = _s_avuc_forward(s, 0.5, 1.0)[1]
     assert value == pytest.approx(np.log(1.5), abs=1e-15)
     assert counts.numerator == pytest.approx(0.5 * (1.0 / 3.0), abs=1e-16)
 
@@ -188,7 +181,7 @@ def test_s_avuc_nonnegative_and_matches_reference():
     for _ in range(20):
         z, y = random_batch(rng)
         s = summarize(EvalSet(z, y))
-        value, _ = s_avuc_grad(s, AvucSpec(kappa=0.4, temperature=0.7))
+        value, _ = s_avuc_grad(s, 0.4, 0.7)
         assert value >= 0.0
         assert value == pytest.approx(float(oracles.s_avuc_ld(z, y, 0.4, 0.7)), rel=1e-12)
 
@@ -199,7 +192,7 @@ def test_s_avuc_gradient():
     for _ in range(20):
         z, y = random_batch(rng)
         s = summarize(EvalSet(z, y))
-        _, grad = s_avuc_grad(s, AvucSpec(kappa=0.6, temperature=0.5))
+        _, grad = s_avuc_grad(s, 0.6, 0.5)
         fd = oracles.fd_grad(lambda q: oracles.s_avuc_ld(q, y, 0.6, 0.5), z)
         worst = max(worst, oracles.max_rel_err(grad, fd))
     assert worst <= 1e-4, worst

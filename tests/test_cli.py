@@ -513,6 +513,8 @@ def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_pa
         ({"train": {"lr_drop_epochs": 3}}, "lr_drop_epochs"),
         ({"data": {"splits": None}}, "splits"),
         ({"data": {"splits": ["a", 0.5, 0.5]}}, "splits entry"),
+        ({"loss": {"bins": 0}}, "bins"),
+        ({"loss": {"bins": True}}, "bins"),
     ],
 )
 def test_a_bool_or_a_string_for_a_number_exits_64_naming_the_field(capsys, tmp_path, section, field):
@@ -588,6 +590,20 @@ def test_a_diverging_run_exits_3(capsys, tmp_path):
     code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o"))
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("training diverged:")
+
+
+def test_a_run_whose_test_logits_diverge_exits_3(capsys, tmp_path):
+    # The weights blow up in the one epoch while the validation logits stay
+    # finite, so the test logits are the first to show it.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "seed": 0,
+        "data": {"n": 181, "noise": 0.5, "separation": 0},
+        "model": {"hidden": [1]},
+        "train": {"learning_rate": 1e300, "epochs": 1, "batch_size": 16},
+    }))
+    code, out, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert (code, out, err) == (3, "", "training diverged: non-finite test logits\n")
 
 
 def softcal_subprocess(*argv, code="sys.exit(main(sys.argv[1:]))"):

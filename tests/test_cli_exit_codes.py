@@ -1,12 +1,14 @@
 """Exit-code fuzzing of every command: whatever the files, the flags and
 CALREF_SEED, main() exits 0, 2, 3 or 64, says why on one stderr line, and
-prints stdout that parses."""
+prints stdout that parses.  train and sweep, whose files are valid JSON
+here, never exit 2."""
 
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import fields
@@ -203,7 +205,7 @@ def sweep_grid(draw):
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @settings(max_examples=100)
 @given(data=st.data())
-def test_train_and_sweep_exit_0_2_3_or_64_with_one_line_of_reason(command, data):
+def test_train_and_sweep_exit_0_3_or_64_with_one_line_of_reason(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         config, named = data.draw(run_config(), label="config")
@@ -226,13 +228,15 @@ def test_train_and_sweep_exit_0_2_3_or_64_with_one_line_of_reason(command, data)
                 os.environ["CALREF_SEED"] = env
             code, out, err, caught = run(argv)
         assert [str(w.message) for w in caught] == []
-        assert code in (0, 2, 3, 64) and "internal error" not in err, err
+        assert code in (0, 3, 64) and "internal error" not in err, err
         if code:
             assert out == "" and len(err.splitlines()) == 1, err
             # Configs, seeds and grids are checked before the output directory
-            # is made, and a refusal names a junk field, the seed or the grid.
+            # is made, and a refusal names a junk field, the seed or the grid,
+            # as a whole token: bins in num_bins does not count.
             assert code != 64 or not (root / "out").exists(), err
-            assert code != 64 or any(name in err for name in named), (err, named)
+            assert code != 64 or any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err) for name in named), \
+                (err, named)
             return
         assert all(line.startswith("warning: ") for line in err.splitlines()), err
         assert json.loads(out)["out"] == str(root / "out")

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from softcal import AvucSpec, BinningSpec, EvalSet, IngestionError, LossSpec, SoftBinningSpec, TaskSpec, summarize
+from softcal import BinningSpec, EvalSet, IngestionError, LossSpec, SoftBinningSpec, TaskSpec, summarize
 from softcal.data import check_choice, check_int, check_real, entropy_nats
 from softcal.synthetic import make_synthetic_task
 from softcal.trainer import TrainConfig
@@ -231,11 +231,11 @@ def _task(**kwargs):
     return make_synthetic_task(**({"kind": "gaussian-blobs", "n": 100, "seed": 0} | kwargs))
 
 
-# Every field of the settings dataclasses but the list settings, TrainConfig's
-# loss and AvucSpec's gradient_stopping flag, and make_synthetic_task's seed.
+# Every field of the settings dataclasses but the list settings and
+# TrainConfig's loss, and make_synthetic_task's seed.
 SCALAR_FIELDS = [
-    *((spec, f.name) for spec in (LossSpec, TrainConfig, TaskSpec, BinningSpec, SoftBinningSpec, AvucSpec)
-      for f in fields(spec) if not isinstance(f.default, (tuple, bool)) and f.name != "loss"),
+    *((spec, f.name) for spec in (LossSpec, TrainConfig, TaskSpec, BinningSpec, SoftBinningSpec)
+      for f in fields(spec) if not isinstance(f.default, tuple) and f.name != "loss"),
     (_task, "seed"),
 ]
 
@@ -257,8 +257,7 @@ def test_a_list_setting_that_is_not_a_list_of_numbers_is_a_value_error_naming_it
         build(**{name: value})
 
 
-@pytest.mark.parametrize("build, name", [f for f in SCALAR_FIELDS if f != (AvucSpec, "temperature")])
+@pytest.mark.parametrize("build, name", SCALAR_FIELDS)
 def test_none_for_a_scalar_field_is_a_value_error(build, name):
-    # AvucSpec.temperature alone is optional: None there means no soft uncertainty.
     with pytest.raises(ValueError):
         build(**{name: None})

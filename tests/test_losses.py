@@ -5,8 +5,22 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_batch
-from softcal import EvalSet, LossSpec, composite_loss, focal, mse, nll, summarize
+from conftest import avuc_batch, random_batch
+from softcal import (
+    BINNED,
+    EvalSet,
+    LossSpec,
+    SoftBinningSpec,
+    avuc_grad,
+    composite_loss,
+    focal,
+    mse,
+    nll,
+    s_avuc_grad,
+    sb_ece_grad,
+    summarize,
+)
+from softcal.data import summarize_arrays
 
 
 def test_loss_spec_validation():
@@ -139,6 +153,34 @@ def test_composite_skips_secondary_when_beta_zero():
     assert out.secondary_value == 0.0
     v, _ = nll(summarize(EvalSet(z, y)), y)
     assert out.value == pytest.approx(v, abs=1e-16)
+
+
+def test_composite_loss_passes_each_secondary_its_settings():
+    # At beta = 1 the composite's secondary value and gradient are the
+    # kernel's own, on settings that are all off their defaults.
+    rng = np.random.default_rng(28)
+    z, y, kappa = avuc_batch(rng)
+    s = summarize_arrays(z, y)
+    cases = {
+        "avuc": (dict(kappa=kappa), lambda kappa: avuc_grad(s, kappa)),
+        "avuc-gs": (dict(kappa=kappa), lambda kappa: avuc_grad(s, kappa, gradient_stopping=True)),
+        "s-avuc": (dict(kappa=0.3, soft_temperature=0.4),
+                   lambda kappa, soft_temperature: s_avuc_grad(s, kappa, soft_temperature)),
+        "sb-ece": (dict(bins=7, bin_temperature=0.05, p=3.0, mode=BINNED),
+                   lambda bins, bin_temperature, p, mode: sb_ece_grad(s, SoftBinningSpec(bins, bin_temperature), p, mode)),
+    }
+    _, primary_grad = nll(s, y)
+    for secondary, (settings, kernel) in cases.items():
+        out = composite_loss(z, y, LossSpec(secondary=secondary, beta=1.0, **settings))
+        value, grad = kernel(**settings)
+        assert out.secondary_value == value, secondary
+        np.testing.assert_array_equal(out.grad_logits, primary_grad + grad)
+        # A setting dropped on the way, so that the kernel saw its default,
+        # would change the kernel's output, and the checks above would fail.
+        for name in settings:
+            value_at_default, grad_at_default = kernel(**(settings | {name: getattr(LossSpec(), name)}))
+            assert value_at_default != value or not np.array_equal(grad_at_default, grad), (secondary, name)
+    assert not np.array_equal(avuc_grad(s, kappa)[1], avuc_grad(s, kappa, gradient_stopping=True)[1])
 
 
 def test_composite_gradient_against_reference():
