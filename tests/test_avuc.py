@@ -40,6 +40,22 @@ def test_avuc_kernels_refuse_a_bad_kappa_or_temperature_naming_it():
         s_avuc_grad(s, 0.5, -1.0)
 
 
+# The checks the deleted AvucSpec made of kappa and temperature, now made by
+# the kernels: a bool, a string or None is a ValueError naming the argument.
+@pytest.mark.parametrize("value", [None, True, "1"])
+@pytest.mark.parametrize(
+    "kernel, name",
+    [(lambda s, v: avuc_grad(s, v), "kappa"),
+     (lambda s, v: s_avuc_grad(s, v, 1.0), "kappa"),
+     (lambda s, v: s_avuc_grad(s, 0.5, v), "temperature")],
+    ids=["avuc-kappa", "s-avuc-kappa", "s-avuc-temperature"],
+)
+def test_avuc_kernels_refuse_a_bool_a_string_or_none_naming_it(kernel, name, value):
+    s = raw_summary([0.7], [0.3], [1])
+    with pytest.raises(ValueError, match=f"^{name} must .*, got {value!r} \\(not a number\\)$"):
+        kernel(s, value)
+
+
 def test_avuc_two_point_fixture():
     # one accurate-certain and one inaccurate-certain example, both c=0.75,
     # same entropy: the tanh factors cancel and the loss is log(4/3)
@@ -164,6 +180,13 @@ def test_soft_uncertainty_grad_zero_in_clamp_region():
     assert slope(0.0) == 0.0
     assert slope(1.0) == 0.0
     assert slope(0.5) > 0.0
+
+
+def test_s_avuc_requires_temperature():
+    # the signature requires the argument; None, the old "hard" marker, is refused
+    s = raw_summary([0.7], [0.3], [1])
+    with pytest.raises(ValueError, match="^temperature must be > 0, got None"):
+        s_avuc_grad(s, 0.5, None)
 
 
 def test_s_avuc_single_example_fixture():
