@@ -51,11 +51,14 @@ def _resolve_seed(flag_seed, config_seed: int) -> int:
         raise UsageError(f"{source} must be a non-negative integer, got {value!r}") from None
 
 
-@contextmanager
-def _flag_errors():
-    """Turn a ValueError from checking flags, before any file is read, into a usage error."""
+def _check_binning_flags(args) -> None:
+    """Refuse a bad --bins, --p or --bin-temp under the flag's name, before
+    any file is read and before a spec built from it would name its field."""
     try:
-        yield
+        check_int("--bins", args.bins, 1)
+        if args.command != "reliability":  # the one command without --p and --bin-temp
+            check_real("--p", args.p, 1)
+            check_real("--bin-temp", args.bin_temp, 0, strict=True)
     except ValueError as err:
         raise UsageError(str(err)) from None
 
@@ -89,10 +92,10 @@ def _metrics_block(path: str, spec: BinningSpec | SoftBinningSpec, args) -> dict
               else ece(summary, spec, p=args.p, mode=args.mode))
     return {
         "n": summary.n,
-        "bins": report.num_bins,
-        "scheme": report.scheme,
-        "p": report.p,
-        "mode": report.mode,
+        "bins": args.bins,
+        "scheme": "soft-equal-width" if args.soft else args.scheme,
+        "p": args.p,
+        "mode": args.mode,
         "soft": bool(args.soft),
         "ece_percent": 100.0 * report.value,
         "accuracy": float(summary.accuracy.mean()),
@@ -102,11 +105,9 @@ def _metrics_block(path: str, spec: BinningSpec | SoftBinningSpec, args) -> dict
 
 
 def cmd_metrics(args) -> int:
-    with _flag_errors():
-        check_real("p", args.p, 1)
-        hard = BinningSpec(scheme=args.scheme, num_bins=args.bins)
-        soft = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
-    spec = soft if args.soft else hard
+    _check_binning_flags(args)
+    spec = (SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp) if args.soft
+            else BinningSpec(scheme=args.scheme, num_bins=args.bins))
     doc = _metrics_block(args.logits, spec, args)
     if args.val_logits:
         doc["val"] = _metrics_block(args.val_logits, spec, args)
@@ -115,8 +116,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_reliability(args) -> int:
-    with _flag_errors():
-        spec = BinningSpec(scheme=args.scheme, num_bins=args.bins)
+    _check_binning_flags(args)
+    spec = BinningSpec(scheme=args.scheme, num_bins=args.bins)
     rows = reliability_table(summarize(read_logits_csv(args.logits)), spec)
     print("bin,mean_conf,mean_acc,weight")
     for j, mean_conf, mean_acc, weight in rows:
@@ -127,16 +128,15 @@ def cmd_reliability(args) -> int:
 
 
 def cmd_recalibrate(args) -> int:
-    with _flag_errors():
-        check_real("p", args.p, 1)
-        sb_spec = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
+    _check_binning_flags(args)
+    sb_spec = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
     val_set = read_logits_csv(args.val_logits)
     test_set = read_logits_csv(args.test_logits)
     with _output_errors(args.trace):
         trace = open(args.trace, "w") if args.trace else nullcontext()
     with trace:
         fit = fit_temperature(val_set, objective=args.objective, sb_spec=sb_spec, p=args.p, mode=args.mode)
-        print(f"recalibrate: objective={fit.objective} t_star={fit.t_star!r} "
+        print(f"recalibrate: objective={args.objective} t_star={fit.t_star!r} "
               f"evaluations={len(fit.trace)} at_bound={fit.at_bound}", file=sys.stderr)
         if args.trace:
             trace.write("temperature,objective\n")
@@ -145,7 +145,7 @@ def cmd_recalibrate(args) -> int:
     _emit_json(
         {
             "tStar": fit.t_star,
-            "objective": fit.objective,
+            "objective": args.objective,
             "eceBefore": 100.0 * eval_convention_ece(summarize(test_set, 1.0)),
             "eceAfter": 100.0 * eval_convention_ece(summarize(test_set, fit.t_star)),
         }

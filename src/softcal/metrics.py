@@ -46,11 +46,6 @@ class BinStats:
 @dataclass(frozen=True)
 class EceReport:
     value: float
-    p: float
-    mode: str
-    num_bins: int
-    scheme: str
-    n: int
     bin_stats: BinStats
 
 
@@ -88,11 +83,6 @@ def ece(
         r = (np.abs(per_bin_acc - summary.confidence) ** p).mean()
     return EceReport(
         value=float(r ** (1.0 / p)),
-        p=p,
-        mode=mode,
-        num_bins=spec.num_bins,
-        scheme=spec.scheme,
-        n=n,
         bin_stats=stats,
     )
 
@@ -119,11 +109,6 @@ def sb_ece(
     r, _, stats = _sb_ece_forward(confidence, accuracy, spec, p, mode, out)
     return EceReport(
         value=float(r ** (1.0 / p)),
-        p=p,
-        mode=mode,
-        num_bins=spec.num_bins,
-        scheme="soft-equal-width",
-        n=confidence.shape[0],
         bin_stats=stats,
     )
 

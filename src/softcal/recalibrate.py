@@ -48,7 +48,6 @@ class FitError(RuntimeError):
 @dataclass(frozen=True)
 class TemperatureFit:
     t_star: float
-    objective: str
     objective_value: float
     trace: list = field(default_factory=list)  # (t, objective value) in eval order
 
@@ -189,7 +188,6 @@ def fit_temperature(
     t_star, v_star = (t_ref, v_ref) if v_ref <= values[best] else (float(grid[best]), float(values[best]))
     return TemperatureFit(
         t_star=float(t_star),
-        objective=objective,
         objective_value=float(v_star),
         trace=trace,
     )

@@ -2,7 +2,8 @@
 
 gaussian-blobs:    K isotropic Gaussians with means on a circle; nearly
                    separable at the default spacing, Bayes accuracy ~ 1.
-noisy-moons:       the classic interleaved half-circles with Gaussian noise.
+noisy-moons:       the classic interleaved half-circles with Gaussian noise;
+                   2-d and binary, so classes and dim must be 2.
 label-noise-blobs: gaussian-blobs with labels flipped to a random other
                    class with the given rate; with well-separated blobs the
                    Bayes accuracy is about 1 - flip_rate, so a calibrated
@@ -37,6 +38,9 @@ class TaskSpec:
         check_choice("kind", self.kind, TASK_KINDS)
         for name, least in (("n", 100), ("classes", 2), ("dim", 2)):
             check_int(name, getattr(self, name), least)
+        if self.kind == "noisy-moons" and (self.classes, self.dim) != (2, 2):
+            name = "classes" if self.classes != 2 else "dim"
+            raise ValueError(f"{name} must be 2 for noisy-moons, got {getattr(self, name)!r}")
         check_real("noise", self.noise, 0)
         check_real("separation", self.separation, 0)
         check_real("flip_rate", self.flip_rate, 0, 1)
@@ -57,7 +61,6 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class SyntheticTask:
-    kind: str
     num_classes: int
     x_train: np.ndarray
     y_train: np.ndarray
@@ -113,9 +116,7 @@ def make_synthetic_task(kind: str, n: int, seed: int, **settings) -> SyntheticTa
     and split them train/val/test by its split sizes."""
     spec = TaskSpec(kind, n, **settings)
     rng = np.random.default_rng(check_int("seed", seed, 0))
-    classes = spec.classes
     if kind == "noisy-moons":
-        classes = 2
         x, y = _sample_moons(n, spec.noise, rng)
     else:
         x, y = _sample_blobs(spec, rng)
@@ -125,8 +126,7 @@ def make_synthetic_task(kind: str, n: int, seed: int, **settings) -> SyntheticTa
     perm = rng.permutation(n)
     tr, va, te = np.split(perm, np.cumsum(spec.split_sizes[:2]))
     return SyntheticTask(
-        kind=kind,
-        num_classes=classes,
+        num_classes=spec.classes,
         x_train=x[tr],
         y_train=y[tr],
         x_val=x[va],

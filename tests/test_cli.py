@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -140,12 +141,16 @@ def test_data_problems_exit_2(capsys, tmp_path):
     "command, flag, value",
     [
         ("metrics", "--bins", "0"),
+        ("metrics", "--bins", str(2**63)),
         ("metrics", "--p", "0.5"),
+        ("metrics", "--p", "nan"),
         ("metrics", "--bin-temp", "-1"),
+        ("metrics", "--bin-temp", "0"),
         ("reliability", "--bins", "0"),
         ("recalibrate", "--bins", "0"),
         ("recalibrate", "--p", "0.5"),
         ("recalibrate", "--bin-temp", "-1"),
+        ("recalibrate", "--bin-temp", "0"),
     ],
 )
 def test_bad_binning_flags_exit_64_before_any_file_is_read(capsys, tmp_path, command, flag, value):
@@ -159,6 +164,8 @@ def test_bad_binning_flags_exit_64_before_any_file_is_read(capsys, tmp_path, com
     code, out, err = run_cli(capsys, command, *files, flag, value)
     assert code == 64 and out == ""
     assert err.startswith("usage error:")
+    # Named as typed, not by the spec field the flag sets.
+    assert re.search(rf"(?<!\w){re.escape(flag)}(?!\w)", err), err
 
 
 def test_usage_problems_exit_64(capsys, four_row_csv):
@@ -515,6 +522,9 @@ def test_config_values_training_would_refuse_exit_64_at_load_time(capsys, tmp_pa
         ({"data": {"splits": ["a", 0.5, 0.5]}}, "splits entry"),
         ({"loss": {"bins": 0}}, "bins"),
         ({"loss": {"bins": True}}, "bins"),
+        # Moons are 2-d and binary; the config's example from the README.
+        ({"data": {"kind": "noisy-moons", "classes": 5, "dim": 7}}, "classes"),
+        ({"data": {"kind": "noisy-moons", "dim": 3}}, "dim"),
     ],
 )
 def test_a_bool_or_a_string_for_a_number_exits_64_naming_the_field(capsys, tmp_path, section, field):

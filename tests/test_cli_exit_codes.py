@@ -121,8 +121,9 @@ SEED_TEXT = st.one_of(GOOD_SEED, GOOD_SEED, GOOD_SEED, st.sampled_from(BAD_SEEDS
 
 # A valid value for every field of TaskSpec, TrainConfig and LossSpec, at
 # tiny sizes: n <= 200, epochs <= 2, widths <= 8.  A learning rate of 1e300
-# diverges, beta may not match the secondary, and the last two splits leave
-# the test or the train part empty at some n drawn here.
+# diverges, beta may not match the secondary, the last two splits leave the
+# test or the train part empty at some n drawn here, and noisy-moons refuses
+# classes or dim other than 2.
 VALID = {
     # TaskSpec
     "kind": st.sampled_from(TASK_KINDS),
@@ -157,7 +158,7 @@ VALID = {
 }
 EMPTY_SPLITS = ([0.5, 0.495, 0.005], [0.004, 0.5, 0.496])
 # JSON junk, some of it valid for some fields (-0.0 for noise, [] for hidden).
-JUNK = st.sampled_from([None, True, "x", [], {}, [[1]], 10**400, -0.0, -1])
+JUNK = [None, True, "x", [], {}, [[1]], 10**400, -0.0, -1]
 LAYOUT = run_config_from_dict({}).as_json()
 
 
@@ -181,12 +182,14 @@ def run_config(draw):
             return valid
         if isinstance(valid, list) and draw(st.booleans()):
             i = draw(st.integers(0, len(valid)))
-            return valid[:i] + [draw(JUNK)] + valid[i + 1:]
-        return draw(JUNK)
+            return valid[:i] + [draw(st.sampled_from(JUNK))] + valid[i + 1:]
+        return draw(st.sampled_from(JUNK))
 
     doc = {name: {key: value(key) for key in section} if isinstance(section, dict) else value(name)
            for name, section in LAYOUT.items()}
-    return doc, {*junk, *(["splits"] if doc["data"]["splits"] in EMPTY_SPLITS else [])}
+    data = doc["data"]
+    moons = [key for key in ("classes", "dim") if data["kind"] == "noisy-moons" and data[key] != 2]
+    return doc, {*junk, *moons, *(["splits"] if data["splits"] in EMPTY_SPLITS else [])}
 
 
 @st.composite
@@ -200,6 +203,22 @@ def sweep_grid(draw):
     keys = draw(st.lists(st.sampled_from([*SWEEP_ORDER, *(["gamma"] if dirty else [])]), max_size=2, unique=True))
     values = st.sampled_from([0.0, 1e-3, 0.5, 1.0, *([1.5, -1.0, "x", True, None] if dirty else [])])
     return {key: draw(st.lists(values, max_size=2)) for key in keys}
+
+
+def check_train_exit(code, out, err, caught, out_dir, named):
+    """A train or sweep run exits 0, 3 or 64, and a refusal is one stderr
+    line.  Configs, seeds and grids are checked before out_dir is made, and
+    a 64 names one of named as a whole token: bins in num_bins does not count."""
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 3, 64) and "internal error" not in err, err
+    if code:
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert code != 64 or not out_dir.exists(), err
+        assert code != 64 or any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err) for name in named), \
+            (err, named)
+        return
+    assert all(line.startswith("warning: ") for line in err.splitlines()), err
+    assert json.loads(out)["out"] == str(out_dir)
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -226,17 +245,36 @@ def test_train_and_sweep_exit_0_3_or_64_with_one_line_of_reason(command, data):
             os.environ.pop("CALREF_SEED", None)
             if env is not None:
                 os.environ["CALREF_SEED"] = env
-            code, out, err, caught = run(argv)
-        assert [str(w.message) for w in caught] == []
-        assert code in (0, 3, 64) and "internal error" not in err, err
-        if code:
-            assert out == "" and len(err.splitlines()) == 1, err
-            # Configs, seeds and grids are checked before the output directory
-            # is made, and a refusal names a junk field, the seed or the grid,
-            # as a whole token: bins in num_bins does not count.
-            assert code != 64 or not (root / "out").exists(), err
-            assert code != 64 or any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err) for name in named), \
-                (err, named)
-            return
-        assert all(line.startswith("warning: ") for line in err.splitlines()), err
-        assert json.loads(out)["out"] == str(root / "out")
+            check_train_exit(*run(argv), root / "out", named)
+
+
+def field_section(doc, key):
+    """The dict of a config file's layout that holds key: seed is top level."""
+    return doc if key in doc else next(v for v in doc.values() if isinstance(v, dict) and key in v)
+
+
+# A valid config with every field, small enough to train in-process at once.
+TINY = json.loads(json.dumps(run_config_from_dict({"data": {"n": 100}, "model": {"hidden": [4]},
+                                                   "train": {"epochs": 1, "batch_size": 64}}).as_json()))
+ONE_BAD_FIELD = [
+    pytest.param(key, junk, entry, id=f"{key}{'-entry' if entry else ''}-junk{j}")
+    for key in VALID
+    for entry in ((False, True) if isinstance(field_section(TINY, key)[key], list) else (False,))
+    for j, junk in enumerate(JUNK)
+]
+
+
+@pytest.mark.parametrize("key, junk, entry", ONE_BAD_FIELD)
+def test_each_junk_value_in_each_field_exits_0_3_or_64_naming_the_field(tmp_path, key, junk, entry):
+    """Every field of the run config holding each JUNK value, or, for a list
+    field, a JUNK last entry.  The fuzzer above may miss a fault in one field
+    by chance; this pass covers each field with each value."""
+    config = json.loads(json.dumps(TINY))
+    section = field_section(config, key)
+    section[key] = section[key][:-1] + [junk] if entry else junk
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CALREF_SEED", None)
+        result = run(["train", "--config", str(tmp_path / "run.json"), "--out", str(out_dir)])
+    check_train_exit(*result, out_dir, {key})

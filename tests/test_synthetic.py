@@ -69,11 +69,12 @@ def test_splits_that_leave_a_part_empty_are_refused(n, splits, sizes):
 
 def test_same_seed_reproduces_every_array():
     for kind in TASK_KINDS:
-        a = make_synthetic_task(kind, 300, seed=11, classes=3)
-        b = make_synthetic_task(kind, 300, seed=11, classes=3)
+        classes = 2 if kind == "noisy-moons" else 3  # moons are binary
+        a = make_synthetic_task(kind, 300, seed=11, classes=classes)
+        b = make_synthetic_task(kind, 300, seed=11, classes=classes)
         for name in ("x_train", "y_train", "x_val", "y_val", "x_test", "y_test"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        c = make_synthetic_task(kind, 300, seed=12, classes=3)
+        c = make_synthetic_task(kind, 300, seed=12, classes=classes)
         assert not np.array_equal(a.x_train, c.x_train)
 
 
@@ -86,8 +87,12 @@ def test_label_ranges_and_dims():
     assert y.min() >= 0 and y.max() <= 4
     assert np.issubdtype(y.dtype, np.integer)
 
-    # Moons are inherently binary regardless of the requested class count.
-    task = make_synthetic_task("noisy-moons", 400, seed=0, classes=5)
+    # Moons are 2-d and binary: another class count or dimension is refused
+    # by name rather than ignored.
+    for name, value in (("classes", 5), ("dim", 7)):
+        with pytest.raises(ValueError, match=rf"^{name} must be 2 for noisy-moons, got {value}$"):
+            make_synthetic_task("noisy-moons", 400, seed=0, **{name: value})
+    task = make_synthetic_task("noisy-moons", 400, seed=0)
     assert task.num_classes == 2
     assert task.x_train.shape[1] == 2
     _, y = stacked(task)
