@@ -2,7 +2,6 @@
 temperature scaling, and a small deterministic numpy trainer."""
 
 from .avuc import (
-    AvucCounts,
     DegenerateBatchError,
     avuc_grad,
     s_avuc_grad,
@@ -26,7 +25,6 @@ from .metrics import (
     eval_convention_ece,
     reliability_table,
     sb_ece,
-    sb_ece_confidence_grad,
     sb_ece_grad,
 )
 from .mlp import MlpModel
@@ -47,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BINNED",
     "LABEL_BINNED",
-    "AvucCounts",
     "BinStats",
     "BinningSpec",
     "DegenerateBatchError",
@@ -82,7 +79,6 @@ __all__ = [
     "reliability_table",
     "s_avuc_grad",
     "sb_ece",
-    "sb_ece_confidence_grad",
     "sb_ece_grad",
     "soft_membership",
     "soft_uncertainty",

@@ -19,8 +19,6 @@ accuracy partition stays hard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import PredictionSummary, check_real
@@ -33,24 +31,6 @@ _HSTAR_HI = 1.0 - 1e-7
 
 class DegenerateBatchError(ValueError):
     """The denominator count (n_AC + n_IU) vanished, so the loss is undefined."""
-
-
-@dataclass(frozen=True)
-class AvucCounts:
-    """Weighted mass per accuracy x certainty cell."""
-
-    n_ac: float
-    n_au: float
-    n_ic: float
-    n_iu: float
-
-    @property
-    def numerator(self) -> float:
-        return self.n_au + self.n_ic
-
-    @property
-    def denominator(self) -> float:
-        return self.n_ac + self.n_iu
 
 
 def soft_uncertainty(hstar, kappa: float, temperature: float):
@@ -79,30 +59,34 @@ def _soft_uncertainty_slope(hstar, t, temperature: float) -> np.ndarray:
     return np.where((h_raw < _HSTAR_LO) | (h_raw > _HSTAR_HI), 0.0, grad)
 
 
-def _loss_from(counts: AvucCounts) -> float:
-    if counts.denominator <= 0.0:
+def _loss_from(counts: tuple[float, float, float, float]) -> tuple[float, float, float]:
+    """Loss, numerator and denominator from the cell masses (n_AC, n_AU, n_IC, n_IU)."""
+    n_ac, n_au, n_ic, n_iu = counts
+    q, d = n_au + n_ic, n_ac + n_iu
+    if d <= 0.0:
         raise DegenerateBatchError(
-            f"denominator count n_AC + n_IU = {counts.denominator}; batch has no "
+            f"denominator count n_AC + n_IU = {d}; batch has no "
             "accurate-certain or inaccurate-uncertain mass"
         )
-    return float(np.log1p(counts.numerator / counts.denominator))
+    return float(np.log1p(q / d)), q, d
 
 
 def _avuc_forward(summary: PredictionSummary, kappa: float):
-    """Loss, counts, tanh(h) and the accurate and certain masks of the hard
-    loss, where h = kappa counts as certain: the forward half of avuc_grad."""
+    """Loss, numerator, denominator, cell masses (n_AC, n_AU, n_IC, n_IU),
+    tanh(h) and the accurate and certain masks of the hard loss, where
+    h = kappa counts as certain: the forward half of avuc_grad."""
     check_real("kappa", kappa, 0, strict=True)
     c = summary.confidence
     w = np.tanh(summary.entropy)
     a = summary.accuracy.astype(bool)
     certain = summary.entropy <= kappa
-    counts = AvucCounts(
-        n_ac=float((c * (1.0 - w))[a & certain].sum()),
-        n_au=float((c * w)[a & ~certain].sum()),
-        n_ic=float(((1.0 - c) * (1.0 - w))[~a & certain].sum()),
-        n_iu=float(((1.0 - c) * w)[~a & ~certain].sum()),
+    counts = (
+        float((c * (1.0 - w))[a & certain].sum()),
+        float((c * w)[a & ~certain].sum()),
+        float(((1.0 - c) * (1.0 - w))[~a & certain].sum()),
+        float(((1.0 - c) * w)[~a & ~certain].sum()),
     )
-    return _loss_from(counts), counts, w, a, certain
+    return *_loss_from(counts), counts, w, a, certain
 
 
 def avuc_grad(summary: PredictionSummary, kappa: float, gradient_stopping: bool = False) -> tuple[float, np.ndarray]:
@@ -110,9 +94,8 @@ def avuc_grad(summary: PredictionSummary, kappa: float, gradient_stopping: bool 
     entropy threshold kappa > 0 (nats).  With gradient_stopping (AvUC-GS) the
     confidence factors are held constant, so gradient flows only through
     tanh(h); the forward value is unchanged."""
-    value, counts, w, a, certain = _avuc_forward(summary, kappa)
+    value, q, d, _, w, a, certain = _avuc_forward(summary, kappa)
     c = summary.confidence
-    q, d = counts.numerator, counts.denominator
     dl_dq = 1.0 / (q + d)
     dl_dd = 1.0 / (q + d) - 1.0 / d
 
@@ -129,31 +112,27 @@ def avuc_grad(summary: PredictionSummary, kappa: float, gradient_stopping: bool 
 
 
 def _s_avuc_forward(summary: PredictionSummary, kappa: float, temperature: float):
-    """Loss, counts, soft uncertainty t, tanh(h) and accuracy of S-AvUC: the
-    forward half of s_avuc_grad.  Every example feeds both its numerator
-    and its denominator cell, weighted by t and (1 - t)."""
+    """Loss, numerator, denominator, cell masses, soft uncertainty t, tanh(h)
+    and accuracy of S-AvUC: the forward half of s_avuc_grad.  Every example
+    feeds both its numerator and its denominator cell, weighted by t and
+    (1 - t)."""
     t = soft_uncertainty(summary.norm_entropy, kappa, temperature)
     w = np.tanh(summary.entropy)
     a = summary.accuracy.astype(bool)
     tw = t * w
     cw = (1.0 - t) * (1.0 - w)
-    counts = AvucCounts(
-        n_ac=float(cw[a].sum()),
-        n_au=float(tw[a].sum()),
-        n_ic=float(cw[~a].sum()),
-        n_iu=float(tw[~a].sum()),
-    )
-    return _loss_from(counts), counts, t, w, a
+    counts = (float(cw[a].sum()), float(tw[a].sum()),  # n_AC, n_AU
+              float(cw[~a].sum()), float(tw[~a].sum()))  # n_IC, n_IU
+    return *_loss_from(counts), counts, t, w, a
 
 
 def s_avuc_grad(summary: PredictionSummary, kappa: float, temperature: float) -> tuple[float, np.ndarray]:
     """S-AvUC value and gradient with respect to the logits, shape (N, K),
     at the normalized-entropy threshold kappa in (0, 1) and the uncertainty
     temperature > 0 of soft_uncertainty."""
-    value, counts, t, w, a = _s_avuc_forward(summary, kappa, temperature)
+    value, q, d, _, t, w, a = _s_avuc_forward(summary, kappa, temperature)
     sech2 = 1.0 - w**2
     dt_dh = _soft_uncertainty_slope(summary.norm_entropy, t, temperature) / np.log(summary.num_classes)
-    q, d = counts.numerator, counts.denominator
     dl_dq = 1.0 / (q + d)
     dl_dd = 1.0 / (q + d) - 1.0 / d
 

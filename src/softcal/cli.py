@@ -36,8 +36,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _json(doc: dict) -> str:
+    """doc as the CLI writes every JSON document: strict JSON, so a NaN or an
+    infinity raises rather than reaching a file or stdout."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _resolve_seed(flag_seed, config_seed: int) -> int:
@@ -111,7 +113,7 @@ def cmd_metrics(args) -> int:
     doc = _metrics_block(args.logits, spec, args)
     if args.val_logits:
         doc["val"] = _metrics_block(args.val_logits, spec, args)
-    _emit_json(doc)
+    print(_json(doc))
     return 0
 
 
@@ -142,14 +144,13 @@ def cmd_recalibrate(args) -> int:
             trace.write("temperature,objective\n")
             for t, v in fit.trace:
                 trace.write(f"{t!r},{v!r}\n")
-    _emit_json(
-        {
-            "tStar": fit.t_star,
-            "objective": args.objective,
-            "eceBefore": 100.0 * eval_convention_ece(summarize(test_set, 1.0)),
-            "eceAfter": 100.0 * eval_convention_ece(summarize(test_set, fit.t_star)),
-        }
-    )
+    doc = {
+        "tStar": fit.t_star,
+        "objective": args.objective,
+        "eceBefore": 100.0 * eval_convention_ece(summarize(test_set, 1.0)),
+        "eceAfter": 100.0 * eval_convention_ece(summarize(test_set, fit.t_star)),
+    }
+    print(_json(doc))
     return 0
 
 
@@ -175,14 +176,14 @@ def cmd_train(args) -> int:
     }
 
     doc = {"config": config.as_json(), "report": asdict(report), **test_metrics}
-    (out_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    (out_dir / "report.json").write_text(_json(doc) + "\n")
     arrays = {}
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         arrays[f"w{l}"] = w
         arrays[f"b{l}"] = b
     np.savez(out_dir / "model.npz", **arrays)
     write_logits_csv(str(out_dir / "test_logits.csv"), test_set)
-    print(json.dumps({"out": str(out_dir), **test_metrics}, indent=2, sort_keys=True))
+    print(_json({"out": str(out_dir), **test_metrics}))
     return 0
 
 
@@ -231,10 +232,8 @@ def cmd_sweep(args) -> int:
                 f"{(100.0 * row.val_ece)!r},{int(row.selected)}\n"
             )
     selected_doc = replace(config, train=selected).as_json()
-    (out_dir / "selected_config.json").write_text(
-        json.dumps(selected_doc, indent=2, sort_keys=True) + "\n"
-    )
-    print(json.dumps({"out": str(out_dir), "selected_loss": selected_doc["loss"]}, indent=2, sort_keys=True))
+    (out_dir / "selected_config.json").write_text(_json(selected_doc) + "\n")
+    print(_json({"out": str(out_dir), "selected_loss": selected_doc["loss"]}))
     return 0
 
 

@@ -102,14 +102,14 @@ class EvalSet:
 
 @dataclass(frozen=True)
 class PredictionSummary:
-    """Per-example quantities computed from (possibly temperature-scaled) logits.
+    """Per-example quantities computed from logits z, or from z / t when a
+    temperature t scaled them; gradients taken from a summary are with
+    respect to those scaled logits, so they chain through 1/t to the raw ones.
 
     probs:        N x K softmax probabilities
     confidence:   max probability per row
     predicted:    argmax class (ties -> lowest index)
     accuracy:     1.0 where predicted == label else 0.0
-    temperature:  the temperature the logits were divided by; gradients taken
-                  with respect to the raw logits must chain through 1/temperature
     entropy:      Shannon entropy in nats, computed from probs on first read
     norm_entropy: entropy / ln(K), in [0, 1], computed on first read
     """
@@ -118,7 +118,6 @@ class PredictionSummary:
     confidence: np.ndarray
     predicted: np.ndarray
     accuracy: np.ndarray
-    temperature: float
 
     @cached_property
     def entropy(self) -> np.ndarray:
@@ -176,5 +175,4 @@ def summarize_arrays(logits: np.ndarray, labels: np.ndarray, temperature: float 
     predicted = np.argmax(probs, axis=1)
     confidence = probs[np.arange(probs.shape[0]), predicted]
     accuracy = (predicted == labels).astype(np.float64)
-    return PredictionSummary(probs=probs, confidence=confidence, predicted=predicted,
-                             accuracy=accuracy, temperature=float(temperature))
+    return PredictionSummary(probs=probs, confidence=confidence, predicted=predicted, accuracy=accuracy)

@@ -81,7 +81,7 @@ class LossValueGrad:
 
 
 def nll(summary: PredictionSummary, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean negative log likelihood; gradient is (probs - onehot) / (N t)."""
+    """Mean negative log likelihood; gradient is (probs - onehot) / N."""
     n = summary.n
     rows = np.arange(n)
     # The probs come from a max-subtracted softmax, so log(p) is accurate
@@ -89,7 +89,7 @@ def nll(summary: PredictionSummary, labels: np.ndarray) -> tuple[float, np.ndarr
     value = float(-np.log(np.maximum(summary.probs[rows, labels], 1e-300)).mean())
     grad = summary.probs.copy()  # probs - onehot
     grad[rows, labels] -= 1.0
-    grad /= n * summary.temperature
+    grad /= n
     return value, grad
 
 
@@ -103,7 +103,7 @@ def focal(summary: PredictionSummary, labels: np.ndarray, gamma: float) -> tuple
     logp = np.log(np.maximum(p_y, 1e-300))
     value = float(-(omp**gamma * logp).mean())
 
-    # dL_i/dz_k = [gamma (1-p)^{g-1} log p - (1-p)^g / p] * p (delta_ky - p_k) / t
+    # dL_i/dz_k = [gamma (1-p)^{g-1} log p - (1-p)^g / p] * p (delta_ky - p_k)
     if gamma == 0.0:
         coef = -1.0 / np.maximum(p_y, 1e-300)
     else:
@@ -115,7 +115,7 @@ def focal(summary: PredictionSummary, labels: np.ndarray, gamma: float) -> tuple
     # that -probs would flip, plus 1 at the labels.
     delta = 0.0 - summary.probs
     delta[rows, labels] += 1.0
-    jac = (p_y[:, None] * delta) / summary.temperature
+    jac = p_y[:, None] * delta
     grad = coef[:, None] * jac / n
     return value, grad
 
@@ -127,7 +127,7 @@ def mse(summary: PredictionSummary, labels: np.ndarray) -> tuple[float, np.ndarr
     r[np.arange(n), labels] -= 1.0
     value = float((r**2).sum(axis=1).mean())
     s = (r * summary.probs).sum(axis=1, keepdims=True)
-    grad = 2.0 * summary.probs * (r - s) / (n * summary.temperature)
+    grad = 2.0 * summary.probs * (r - s) / n
     return value, grad
 
 

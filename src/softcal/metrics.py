@@ -149,16 +149,39 @@ def _pow_grad(gap_signed: np.ndarray, p: float) -> np.ndarray:
     return p * np.abs(gap_signed) ** (p - 1.0) * np.sign(gap_signed)
 
 
-def sb_ece_confidence_grad(
+def confidence_logit_jacobian(summary: PredictionSummary) -> np.ndarray:
+    """d c_i / d z_ik for c_i = softmax(z_i)_{argmax}, where z are the
+    logits the summary was computed from (divided by its temperature).
+
+    Returns an (N, K) array: row i is the softmax Jacobian row of the argmax
+    coordinate.
+    """
+    probs = summary.probs
+    n = summary.n
+    onehot_pred = np.zeros_like(probs)
+    onehot_pred[np.arange(n), summary.predicted] = 1.0
+    return summary.confidence[:, None] * (onehot_pred - probs)
+
+
+def entropy_logit_jacobian(summary: PredictionSummary) -> np.ndarray:
+    """d h_i / d z_ik = -(p_ik h_i + p_ik ln p_ik), z as in
+    confidence_logit_jacobian."""
+    from scipy.special import xlogy  # scipy loads only for the AvUC family
+    probs = summary.probs
+    return -(probs * summary.entropy[:, None] + xlogy(probs, probs))
+
+
+def sb_ece_grad(
     summary: PredictionSummary,
     spec: SoftBinningSpec,
     p: float = 2.0,
     mode: str = LABEL_BINNED,
 ) -> tuple[float, np.ndarray]:
-    """SB-ECE value and its gradient with respect to each confidence c_i.
+    """SB-ECE value and gradient with respect to the logits, shape (N, K).
 
     Accuracies are constants; memberships, bin masses and bin means are all
-    functions of the confidences and are differentiated exactly.
+    functions of the confidences and are differentiated exactly, then
+    chained through confidence_logit_jacobian.
     """
     p = float(check_real("p", p, 1))
     check_choice("mode", mode, MODES)
@@ -168,8 +191,9 @@ def sb_ece_confidence_grad(
     r, u, stats = _sb_ece_forward(c, a, spec, p, mode)
     value = r ** (1.0 / p)
     if r <= 0.0:
-        # Perfectly calibrated: the objective sits at its minimum of 0.
-        return float(value), np.zeros_like(c)
+        # Perfectly calibrated: a zero gradient, its zeros signed by the Jacobian.
+        dc = np.zeros_like(c)
+        return float(value), dc[:, None] * confidence_logit_jacobian(summary)
 
     # Bins-major (M, N) throughout: row j is bin j, column i example i.
     du = membership_derivative(u, c, spec)
@@ -187,39 +211,8 @@ def sb_ece_confidence_grad(
         dmean_conf = (du * (c - conf_mean) + u) / sf
         dr_dc = (du * np.abs(gap) ** p + s * _pow_grad(gap, p) * (dmean_acc - dmean_conf)).sum(axis=0) / n
 
-    dvalue_dr = (1.0 / p) * r ** (1.0 / p - 1.0)
-    return float(value), dvalue_dr * dr_dc
-
-
-def confidence_logit_jacobian(summary: PredictionSummary) -> np.ndarray:
-    """d c_i / d logits_ik for c_i = softmax(logits_i / t)_{argmax}.
-
-    Returns an (N, K) array: row i is the softmax Jacobian row of the argmax
-    coordinate, including the 1/t factor from temperature scaling.
-    """
-    probs = summary.probs
-    n = summary.n
-    onehot_pred = np.zeros_like(probs)
-    onehot_pred[np.arange(n), summary.predicted] = 1.0
-    return (summary.confidence[:, None] * (onehot_pred - probs)) / summary.temperature
-
-
-def entropy_logit_jacobian(summary: PredictionSummary) -> np.ndarray:
-    """d h_i / d logits_ik = -(p_ik h_i + p_ik ln p_ik) / t."""
-    from scipy.special import xlogy  # scipy loads only for the AvUC family
-    probs = summary.probs
-    return -(probs * summary.entropy[:, None] + xlogy(probs, probs)) / summary.temperature
-
-
-def sb_ece_grad(
-    summary: PredictionSummary,
-    spec: SoftBinningSpec,
-    p: float = 2.0,
-    mode: str = LABEL_BINNED,
-) -> tuple[float, np.ndarray]:
-    """SB-ECE value and gradient with respect to the logits, shape (N, K)."""
-    value, dc = sb_ece_confidence_grad(summary, spec, p, mode)
-    return value, dc[:, None] * confidence_logit_jacobian(summary)
+    dc = (1.0 / p) * r ** (1.0 / p - 1.0) * dr_dc
+    return float(value), dc[:, None] * confidence_logit_jacobian(summary)
 
 
 def eval_convention_ece(summary: PredictionSummary, num_bins: int = 15) -> float:

@@ -59,7 +59,7 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    train_loss: list
+    train_loss: list  # None for an epoch whose batches were all skipped
     val_accuracy: list
     val_ece: list
     skipped_batches: int
@@ -155,7 +155,7 @@ def train(
             if not np.isfinite(val_set.logits).all():
                 raise TrainingDivergedError(f"non-finite validation logits at epoch {epoch}")
             val_summary = summarize(val_set)
-            report.train_loss.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
+            report.train_loss.append(float(np.mean(batch_losses)) if batch_losses else None)
             report.val_accuracy.append(float(val_summary.accuracy.mean()))
             report.val_ece.append(eval_convention_ece(val_summary, config.eval_bins))
 

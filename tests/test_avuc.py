@@ -26,7 +26,6 @@ def raw_summary(conf, entropy, acc, k=2):
         confidence=conf,
         predicted=np.zeros(n, dtype=np.int64),
         accuracy=np.asarray(acc, dtype=np.float64),
-        temperature=1.0,
     )
     summary.__dict__["entropy"] = np.asarray(entropy, dtype=np.float64)  # read by the cached property
     return summary
@@ -61,16 +60,16 @@ def test_avuc_two_point_fixture():
     # same entropy: the tanh factors cancel and the loss is log(4/3)
     s = raw_summary([0.75, 0.75], [0.2, 0.2], [1, 0])
     value, _ = avuc_grad(s, 0.5)
-    counts = _avuc_forward(s, 0.5)[1]
+    _, n_au, _, n_iu = _avuc_forward(s, 0.5)[3]
     assert value == pytest.approx(np.log(4.0 / 3.0), abs=1e-15)
-    assert counts.n_au == 0.0 and counts.n_iu == 0.0
+    assert n_au == 0.0 and n_iu == 0.0
 
 
 def test_avuc_entropy_equal_to_kappa_counts_certain():
     s = raw_summary([0.9, 0.9], [0.5, 0.7], [1, 0])
-    counts = _avuc_forward(s, 0.5)[1]
-    assert counts.n_ac > 0.0  # the h = kappa example landed in the certain cell
-    assert counts.n_au == 0.0
+    n_ac, n_au, _, _ = _avuc_forward(s, 0.5)[3]
+    assert n_ac > 0.0  # the h = kappa example landed in the certain cell
+    assert n_au == 0.0
 
 
 def test_avuc_degenerate_batch_raises():
@@ -194,9 +193,9 @@ def test_s_avuc_single_example_fixture():
     # t = 1/2 and tanh(ln2 / 2) = 1/3 exactly, so the loss is log(3/2)
     s = raw_summary([0.9], [0.5 * np.log(2)], [1], k=2)
     value, _ = s_avuc_grad(s, 0.5, 1.0)
-    counts = _s_avuc_forward(s, 0.5, 1.0)[1]
+    numerator = _s_avuc_forward(s, 0.5, 1.0)[1]
     assert value == pytest.approx(np.log(1.5), abs=1e-15)
-    assert counts.numerator == pytest.approx(0.5 * (1.0 / 3.0), abs=1e-16)
+    assert numerator == pytest.approx(0.5 * (1.0 / 3.0), abs=1e-16)
 
 
 def test_s_avuc_nonnegative_and_matches_reference():

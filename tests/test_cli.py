@@ -306,6 +306,25 @@ def test_train_writes_report_model_and_logits(capsys, train_config, tmp_path):
     assert json.loads(out)["n"] == 60
 
 
+def test_an_epoch_with_every_batch_skipped_is_null_in_strict_json(capsys, tmp_path):
+    # kappa 1e-12 leaves no example certain and this well-separated task none
+    # inaccurate, so every batch's AvUC denominator n_AC + n_IU vanishes.
+    config = tmp_path / "skip.json"
+    config.write_text(json.dumps({
+        "seed": 0, "data": {"kind": "gaussian-blobs", "n": 200, "noise": 0.1}, "model": {"hidden": [8]},
+        "loss": {"secondary": "avuc", "beta": 1.0, "kappa": 1e-12}, "train": {"epochs": 6, "batch_size": 128},
+    }))
+    code, _, _ = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "run"))
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    doc = json.loads((tmp_path / "run" / "report.json").read_text(), parse_constant=refuse)
+    assert doc["report"]["skipped_batches"] == 6
+    assert doc["report"]["train_loss"] == [None] * 6
+
+
 def test_train_runs_are_reproducible(capsys, train_config, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(capsys, "train", "--config", train_config, "--out", str(a))[0] == 0

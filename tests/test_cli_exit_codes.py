@@ -278,3 +278,27 @@ def test_each_junk_value_in_each_field_exits_0_3_or_64_naming_the_field(tmp_path
         os.environ.pop("CALREF_SEED", None)
         result = run(["train", "--config", str(tmp_path / "run.json"), "--out", str(out_dir)])
     check_train_exit(*result, out_dir, {key})
+
+
+ONE_BAD_GRID = [
+    *(pytest.param({key: [junk]}, key, id=f"{key}-junk{j}") for key in SWEEP_ORDER for j, junk in enumerate(JUNK)),
+    pytest.param({"beta": 1.0}, "beta", id="non-list-stage"),
+    pytest.param(["beta"], "grid", id="non-object-grid"),
+]
+
+
+@pytest.mark.parametrize("grid, key", ONE_BAD_GRID)
+def test_each_junk_value_in_each_sweep_stage_exits_64_naming_the_stage(tmp_path, grid, key):
+    """Every SWEEP_ORDER stage holding each JUNK value, a stage that is not a
+    list and a grid that is not an object.  The grid fuzzer above may miss a
+    fault in one stage by chance; this pass covers each stage with each
+    value.  -0.0 is a valid beta or lam, so those two sweeps run."""
+    (tmp_path / "run.json").write_text(json.dumps(TINY))
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    out_dir = tmp_path / "out"
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CALREF_SEED", None)
+        result = run(["sweep", "--config", str(tmp_path / "run.json"), "--grid", str(tmp_path / "grid.json"),
+                      "--out", str(out_dir)])
+    check_train_exit(*result, out_dir, {key})
+    assert result[0] == (0 if key in ("beta", "lam") and grid[key] == [-0.0] else 64), result[2]

@@ -19,9 +19,9 @@ from softcal import (
     sb_ece,
     sb_ece_grad,
     summarize,
-    sb_ece_confidence_grad,
 )
 from softcal.binning import soft_membership
+from softcal.metrics import confidence_logit_jacobian
 
 
 def summary_from_conf(conf, acc):
@@ -153,10 +153,10 @@ def test_m_equals_one_label_binned_closed_form():
     a_bar = s.accuracy.mean()
     expect = ((np.abs(a_bar - s.confidence) ** p).mean()) ** (1 / p)
     assert value == pytest.approx(expect, rel=1e-14)
-    got_v, dc = sb_ece_confidence_grad(s, spec, p=p, mode=LABEL_BINNED)
+    _, grad = sb_ece_grad(s, spec, p=p, mode=LABEL_BINNED)
     r = (np.abs(a_bar - s.confidence) ** p).mean()
     closed = (1 / p) * r ** (1 / p - 1) * (-p * np.abs(a_bar - s.confidence) ** (p - 1) * np.sign(a_bar - s.confidence)) / s.n
-    np.testing.assert_allclose(dc, closed, rtol=1e-12)
+    np.testing.assert_allclose(grad, closed[:, None] * confidence_logit_jacobian(s), rtol=1e-12)
 
 
 def test_perfectly_calibrated_gradient_is_zero():
