@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_choice, check_int, check_real
+from .data import _blocks, check_choice, check_int, check_real
 
 EQUAL_WIDTH = "equal-width"
 EQUAL_MASS = "equal-mass"
@@ -105,12 +105,19 @@ def soft_membership(conf, spec: SoftBinningSpec, out: np.ndarray | None = None) 
     """
     scalar = np.isscalar(conf) or np.ndim(conf) == 0
     c = np.atleast_1d(np.asarray(conf, dtype=np.float64))
-    g = np.subtract.outer(spec.centers, c, out=out)
-    g **= 2
-    g /= -spec.temperature
-    g -= g.max(axis=0)
-    np.exp(g, out=g)
-    g /= g.sum(axis=0)
+    n, centers = c.shape[0], spec.centers
+    g = np.empty((centers.shape[0], n)) if out is None else out
+
+    def block(lo: int, hi: int) -> None:
+        b = np.subtract.outer(centers, c[lo:hi], out=g[:, lo:hi])
+        b **= 2
+        b /= -spec.temperature
+        b -= b.max(axis=0)
+        np.exp(b, out=b)
+        # As the whole array's sum(axis=0) adds: pairwise if n is 1, else row by row.
+        b /= b.cumsum(axis=0)[-1] if b.shape[1] == 1 < n else b.sum(axis=0)
+
+    _blocks(n, block)
     return g[:, 0] if scalar else g.T
 
 

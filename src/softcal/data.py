@@ -8,8 +8,10 @@ argmax ties broken toward the lowest class index.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -158,21 +160,56 @@ def summarize(eval_set: EvalSet, temperature: float = 1.0) -> PredictionSummary:
 
 def summarize_arrays(logits: np.ndarray, labels: np.ndarray, temperature: float = 1.0) -> PredictionSummary:
     """summarize on a finite float64 N x K logit matrix and N labels in [0, K)
-    that the caller has checked, without an EvalSet.  The softmax runs in
-    place in the one new array logits / temperature; logits is never written.
-    Rows where that division overflows are shifted first, to their limit."""
+    that the caller has checked, without an EvalSet.  The softmax runs by row
+    blocks, in place in the one new array logits / temperature; logits is never
+    written.  Rows where that division overflows are shifted to their limit."""
     check_real("temperature", temperature, 0, strict=True)
-    probs = logits / temperature
-    top = probs.max(axis=1, keepdims=True)
-    if not np.isfinite(top).all():
-        wide = ~np.isfinite(top[:, 0])
-        rows = logits[wide]
-        probs[wide], top[wide] = (rows - rows.max(axis=1, keepdims=True)) / temperature, 0.0
-    probs -= top
-    del top  # held through the exp it raised recalibrate-50k peak RSS by 6.6 MB (heap layout)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    predicted = np.argmax(probs, axis=1)
-    confidence = probs[np.arange(probs.shape[0]), predicted]
-    accuracy = (predicted == labels).astype(np.float64)
+    n = logits.shape[0]
+    probs, predicted, confidence, accuracy = np.empty(logits.shape), np.empty(n, np.intp), np.empty(n), np.empty(n)
+
+    def block(lo: int, hi: int) -> None:
+        p = np.divide(logits[lo:hi], temperature, out=probs[lo:hi])
+        top = p.max(axis=1, keepdims=True)
+        if not np.isfinite(top).all():
+            wide = ~np.isfinite(top[:, 0])
+            rows = logits[lo:hi][wide]
+            p[wide], top[wide] = (rows - rows.max(axis=1, keepdims=True)) / temperature, 0.0
+        p -= top
+        del top  # held through the exp it raised recalibrate-50k peak RSS by 6.6 MB (heap layout)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        pred = np.argmax(p, axis=1, out=predicted[lo:hi])
+        confidence[lo:hi] = p[np.arange(hi - lo), pred]
+        np.equal(pred, labels[lo:hi], out=accuracy[lo:hi])
+
+    _blocks(n, block)
     return PredictionSummary(probs=probs, confidence=confidence, predicted=predicted, accuracy=accuracy)
+
+
+_MIN_BLOCK_ROWS = 8192
+_pool: list = []  # the thread pool, made on first use; a forked child drops it
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_pool.clear)
+
+
+def _blocks(n: int, fn) -> None:
+    """Call fn(lo, hi) on contiguous slices covering range(n), at most one per
+    usable CPU and each at least _MIN_BLOCK_ROWS long (the crossover measured
+    in the README): the first in the calling thread, the rest on the pool, in
+    copies of the caller's context (so np.errstate holds), and no thread for
+    one slice.  fn writes only its own slice, so no output depends on the
+    slicing.  Raises what a slice raised, once every slice has ended."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    k = max(1, min(cpus, n // _MIN_BLOCK_ROWS))
+    if k == 1:
+        return fn(0, n)
+    from concurrent.futures import ThreadPoolExecutor, wait
+    if not _pool:
+        _pool.append(ThreadPoolExecutor(thread_name_prefix="softcal"))
+    jobs = [_pool[0].submit(contextvars.copy_context().run, fn, n * i // k, n * (i + 1) // k) for i in range(1, k)]
+    try:
+        fn(0, n // k)
+    finally:
+        wait(jobs)
+    for job in jobs:
+        job.result()

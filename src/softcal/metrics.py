@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binning import BinningSpec, SoftBinningSpec, assign_hard, membership_derivative, soft_membership
-from .data import PredictionSummary, check_choice, check_real
+from .data import PredictionSummary, _blocks, check_choice, check_real
 
 BINNED = "binned"
 LABEL_BINNED = "label-binned"
@@ -81,10 +81,7 @@ def ece(
     else:
         per_bin_acc = stats.mean_acc[bin_index]
         r = (np.abs(per_bin_acc - summary.confidence) ** p).mean()
-    return EceReport(
-        value=float(r ** (1.0 / p)),
-        bin_stats=stats,
-    )
+    return EceReport(value=float(r ** (1.0 / p)), bin_stats=stats)
 
 
 def sb_ece(
@@ -107,10 +104,7 @@ def sb_ece(
     p = float(check_real("p", p, 1))
     check_choice("mode", mode, MODES)
     r, _, stats = _sb_ece_forward(confidence, accuracy, spec, p, mode, out)
-    return EceReport(
-        value=float(r ** (1.0 / p)),
-        bin_stats=stats,
-    )
+    return EceReport(value=float(r ** (1.0 / p)), bin_stats=stats)
 
 
 def _sb_ece_forward(
@@ -133,13 +127,18 @@ def _sb_ece_forward(
         gap = np.abs(stats.mean_acc - stats.mean_conf)
         r = ((stats.size / n) * gap**p).sum()
     else:
-        d = np.subtract.outer(stats.mean_acc, confidence, out=d_out)
-        if p == 2.0:
-            np.square(d, out=d)  # |x|^2 is x^2 bit for bit
-        else:
-            np.abs(d, out=d)
-            d **= p
-        d *= u
+        d = np.empty(u.shape) if d_out is None else d_out
+
+        def gaps(lo: int, hi: int) -> None:  # a column block of u * |A_j - c_i|^p
+            b = np.subtract.outer(stats.mean_acc, confidence[lo:hi], out=d[:, lo:hi])
+            if p == 2.0:
+                np.square(b, out=b)  # |x|^2 is x^2 bit for bit
+            else:
+                np.abs(b, out=b)
+                b **= p
+            b *= u[:, lo:hi]
+
+        _blocks(n, gaps)
         r = d.sum() / n
     return r, u, stats
 
@@ -226,11 +225,5 @@ def reliability_table(
     """Rows (bin, mean_conf, mean_acc, weight) for all M bins. Empty bins
     carry None means and weight 0."""
     stats, _ = bin_stats_hard(summary, spec)
-    n = summary.n
-    rows = []
-    for j in range(spec.num_bins):
-        if stats.size[j] > 0:
-            rows.append((j, float(stats.mean_conf[j]), float(stats.mean_acc[j]), float(stats.size[j] / n)))
-        else:
-            rows.append((j, None, None, 0.0))
-    return rows
+    return [(j, float(stats.mean_conf[j]), float(stats.mean_acc[j]), float(stats.size[j] / summary.n))
+            if stats.size[j] > 0 else (j, None, None, 0.0) for j in range(spec.num_bins)]

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .binning import SoftBinningSpec
-from .data import EvalSet, check_choice
-from .metrics import LABEL_BINNED, sb_ece
+from .data import EvalSet, _blocks, check_choice, check_real
+from .metrics import LABEL_BINNED, MODES, sb_ece
 
 OBJECTIVES = ("nll", "sb-ece")
 
@@ -114,12 +114,12 @@ def brent_minimize(
     return x, fx, evals
 
 
-def _exp_row_sum(shifts: np.ndarray, t: float, row: np.ndarray) -> np.ndarray:
-    """s(t) = sum_k exp(shifts[k] / t) for (K, N) shifts, one class row at a
-    time through the N-vector row, added in the order sum(axis=0) adds them."""
-    if shifts.shape[1] == 1:  # sum(axis=0) adds a single column pairwise
-        return np.exp(shifts / t).sum(axis=0)
-    s = np.exp(np.divide(shifts[0], t, out=row))
+def _exp_row_sum(shifts: np.ndarray, t: float, row: np.ndarray, out: np.ndarray, n: int) -> np.ndarray:
+    """s(t) = sum_k exp(shifts[k] / t) into out for a column block of the (K, n)
+    shifts, one class row at a time through row, as the whole sum(axis=0) adds."""
+    if n == 1:  # sum(axis=0) adds a single column pairwise
+        return np.exp(shifts / t).sum(axis=0, out=out)
+    s = np.exp(np.divide(shifts[0], t, out=row), out=out)
     for z in shifts[1:]:
         s += np.exp(np.divide(z, t, out=row), out=row)
     return s
@@ -137,22 +137,26 @@ def _objective_fn(
     shifts = np.array(logits.T, order="C")  # (K, N), entries <= 0
     shifts -= shifts.max(axis=0)
     n, m = shifts.shape[1], sb_spec.num_bins
-    row = np.empty(n)
+    row, per_example = np.empty(n), np.empty(n)
+    shift_y = shifts[val_set.labels, np.arange(n)]
+
+    def fill(t: float) -> np.ndarray:  # log s(t) - shift_y / t (NLL) or 1 / s(t), by column blocks
+        def block(lo: int, hi: int) -> None:
+            s = _exp_row_sum(shifts[:, lo:hi], t, row[lo:hi], per_example[lo:hi], n)
+            if objective == "nll":
+                np.subtract(np.log(s, out=s), np.divide(shift_y[lo:hi], t, out=row[lo:hi]), out=s)
+            else:
+                np.divide(1.0, s, out=s)
+
+        _blocks(n, block)
+        return per_example
 
     if objective == "nll":
-        shift_y = shifts[val_set.labels, np.arange(n)]
-
-        def fn(t: float) -> float:
-            return float(np.mean(np.log(_exp_row_sum(shifts, t, row)) - shift_y / t))
-    else:
-        accuracy = (np.argmax(logits, axis=1) == val_set.labels).astype(np.float64)
-        # Membership and gap buffers, filled in place by every evaluation.
-        pair = (np.empty((m, n)), np.empty((m, n)))
-
-        def fn(t: float) -> float:
-            conf = 1.0 / _exp_row_sum(shifts, t, row)
-            return sb_ece(conf, accuracy, sb_spec, p=p, mode=mode, out=pair).value
-    return fn
+        return lambda t: float(np.mean(fill(t)))
+    accuracy = (np.argmax(logits, axis=1) == val_set.labels).astype(np.float64)
+    # Membership and gap buffers, filled in place by every evaluation.
+    pair = (np.empty((m, n)), np.empty((m, n)))
+    return lambda t: sb_ece(fill(t), accuracy, sb_spec, p=p, mode=mode, out=pair).value
 
 
 def fit_temperature(
@@ -169,8 +173,11 @@ def fit_temperature(
     bin temperature 0.01, p = 2, label-binned).
     """
     check_choice("objective", objective, OBJECTIVES)
-    if sb_spec is None:
-        sb_spec = SoftBinningSpec()
+    sb_spec = SoftBinningSpec() if sb_spec is None else sb_spec
+    if not isinstance(sb_spec, SoftBinningSpec):
+        raise ValueError(f"sb_spec must be a SoftBinningSpec, got {sb_spec!r}")
+    p = float(check_real("p", p, 1))
+    check_choice("mode", mode, MODES)
     fn = _objective_fn(val_set, objective, sb_spec, p, mode)
 
     grid = np.exp(np.linspace(np.log(T_MIN), np.log(T_MAX), GRID_POINTS))
@@ -186,8 +193,4 @@ def fit_temperature(
     trace.extend((float(x), float(v)) for x, v in refine_evals)
 
     t_star, v_star = (t_ref, v_ref) if v_ref <= values[best] else (float(grid[best]), float(values[best]))
-    return TemperatureFit(
-        t_star=float(t_star),
-        objective_value=float(v_star),
-        trace=trace,
-    )
+    return TemperatureFit(t_star=float(t_star), objective_value=float(v_star), trace=trace)

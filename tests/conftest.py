@@ -34,6 +34,12 @@ def record_criterion(num: int, name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+def record_line(after: int, line: str) -> None:
+    """A line for the acceptance report, printed after criterion `after`'s:
+    a check that is not one of the ten criteria."""
+    _ACCEPTANCE_LINES.append((after + 0.5, line))
+
+
 @pytest.fixture(scope="session")
 def criterion_log():
     return record_criterion

@@ -12,9 +12,10 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 import oracles
-from conftest import avuc_batch, random_batch
+from conftest import avuc_batch, random_batch, record_line
 
 from softcal import (
     BinningSpec,
@@ -296,7 +297,11 @@ def _noise_arm(task, loss, seed):
     return _test_metrics(task, model)
 
 
-def test_07_swept_composite_halves_ece_on_label_noise(criterion_log):
+@pytest.fixture(scope="module")
+def label_noise_arms():
+    """Criterion 7's ten seeds: per seed the task, the plain-NLL model and the
+    sweep's winner with their test accuracy and ECE, and the loop's seconds.
+    Criterion 7 and the temperature-scaling check below read these models."""
     # Flipped labels put a ceiling on justified confidence; plain NLL trains
     # past it, the swept soft secondary should not.
     grids = {
@@ -306,10 +311,14 @@ def test_07_swept_composite_halves_ece_on_label_noise(criterion_log):
         "lam": [0.0, 1e-3, 1e-2],
     }
     t0 = time.time()
-    nll_ece, swept_ece, nll_acc, swept_acc = [], [], [], []
+    runs = []
     for seed in range(10):
         task = _label_noise_task(seed)
-        a0, e0 = _noise_arm(task, LossSpec(), seed)
+        models = {}  # keyed like the sweep's cache, so the winner is not trained again
+        models["nll"], _ = train(
+            (task.x_train, task.y_train), (task.x_val, task.y_val), _noise_config(LossSpec(), seed),
+            task.num_classes,
+        )
 
         base = TrainConfig(
             loss=LossSpec(secondary="s-avuc", beta=3.0, kappa=0.85,
@@ -317,8 +326,6 @@ def test_07_swept_composite_halves_ece_on_label_noise(criterion_log):
             epochs=400, hidden=(128, 128), learning_rate=0.1,
             lr_drop_epochs=(300,), seed=seed,
         )
-
-        models = {}  # keyed like the sweep's cache, so the winner is not trained again
 
         def train_fn(cfg):
             models[cfg.loss], rep = train(
@@ -328,13 +335,18 @@ def test_07_swept_composite_halves_ece_on_label_noise(criterion_log):
 
         best_cfg, _ = sweep_one_at_a_time(base, grids, train_fn)
         assert best_cfg == _noise_config(best_cfg.loss, seed)
-        a1, e1 = _test_metrics(task, models[best_cfg.loss])
-        nll_ece.append(e0)
-        swept_ece.append(e1)
-        nll_acc.append(a0)
-        swept_acc.append(a1)
+        runs.append({
+            "task": task, "nll_model": models["nll"], "swept_model": models[best_cfg.loss],
+            "nll": _test_metrics(task, models["nll"]), "swept": _test_metrics(task, models[best_cfg.loss]),
+        })
+    return {"runs": runs, "seconds": time.time() - t0}
 
-    elapsed = time.time() - t0
+
+def test_07_swept_composite_halves_ece_on_label_noise(criterion_log, label_noise_arms):
+    runs = label_noise_arms["runs"]
+    nll_acc, nll_ece = zip(*(r["nll"] for r in runs))
+    swept_acc, swept_ece = zip(*(r["swept"] for r in runs))
+    elapsed = label_noise_arms["seconds"]
     ratio = np.median(nll_ece) / np.median(swept_ece)
     acc_ok = np.median(swept_acc) >= 0.99 * np.median(nll_acc)
     ok = ratio >= 1.5 and acc_ok and elapsed < 600.0
@@ -344,6 +356,31 @@ def test_07_swept_composite_halves_ece_on_label_noise(criterion_log):
         f"swept {np.median(swept_ece):.4f}), median acc {np.median(nll_acc):.3f} "
         f"vs {np.median(swept_acc):.3f} ({elapsed:.0f}s)",
     )
+
+
+def test_swept_composite_beats_temperature_scaled_nll(label_noise_arms):
+    # The paper also measures its gain against post-hoc temperature scaling
+    # (Guo et al. 2017).  Each model gets a temperature fitted on its own
+    # validation logits, by NLL and by SB-ECE; criterion 7's 1.5x bar must
+    # hold against the scaled NLL arm too.
+    medians = {}
+    for arm in ("nll", "swept"):
+        for objective in ("raw", "nll", "sb-ece"):
+            eces = []
+            for run in label_noise_arms["runs"]:
+                task, model = run["task"], run[f"{arm}_model"]
+                t = 1.0
+                if objective != "raw":
+                    t = fit_temperature(EvalSet(model.forward(task.x_val)[0], task.y_val), objective).t_star
+                test_set = EvalSet(model.forward(task.x_test)[0], task.y_test)
+                eces.append(eval_convention_ece(summarize(test_set, t)))
+            medians[arm, objective] = float(np.median(eces))
+    ratios = [medians["nll", obj] / medians["swept", "raw"] for obj in ("nll", "sb-ece")]
+    record_line(7, "temperature-scaled NLL vs swept composite: median test ECE " + "; ".join(
+        f"{arm} {medians[arm, 'raw']:.4f}, +TS(nll) {medians[arm, 'nll']:.4f}, "
+        f"+TS(sb-ece) {medians[arm, 'sb-ece']:.4f}" for arm in ("nll", "swept")
+    ) + f"; NLL+TS / swept ratio {ratios[0]:.2f} (nll fit), {ratios[1]:.2f} (sb-ece fit)")
+    assert min(ratios) >= 1.5, ratios
 
 
 def test_08_gradient_stopping_tames_plain_avuc(criterion_log):

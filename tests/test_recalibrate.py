@@ -10,6 +10,7 @@ import oracles
 import softcal
 
 from softcal import (
+    BinningSpec,
     EvalSet,
     SoftBinningSpec,
     fit_temperature,
@@ -107,15 +108,26 @@ def test_fit_agrees_with_the_reference_search(objective):
         assert fit.objective_value <= v_ref + 1e-9
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize roughly doubles the package's import time, which every
-    # CLI call pays.
-    code = "import sys, softcal; print('scipy.optimize' in sys.modules)"
+def loaded_by_import(module: str) -> bool:
+    """Whether a fresh interpreter has module loaded after `import softcal`."""
+    code = f"import sys, softcal; print({module!r} in sys.modules)"
     src = str(Path(softcal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize roughly doubles the package's import time, which every
+    # CLI call pays.
+    assert not loaded_by_import("scipy.optimize")
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # The thread pool that splits per-example work loads it on the first
+    # call large enough to use it; a CLI call on a small file never does.
+    assert not loaded_by_import("concurrent.futures")
 
 
 def test_fit_recovers_known_temperature():
@@ -215,7 +227,7 @@ def test_row_accumulated_normalizer_is_the_axis_0_sum_bit_for_bit(k, n):
     z = rng.normal(0.0, 3.0, size=(k, n))
     shifts = z - z.max(axis=0)
     for t in (0.05, 1.0, 10.0):
-        got = _exp_row_sum(shifts, t, np.empty(n))
+        got = _exp_row_sum(shifts, t, np.empty(n), np.empty(n), n)
         np.testing.assert_array_equal(got, np.exp(shifts / t).sum(axis=0))
 
 
@@ -233,3 +245,27 @@ def test_fit_rejects_unknown_objective():
     es = EvalSet(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
     with pytest.raises(ValueError):
         fit_temperature(es, objective="brier")
+
+
+@pytest.mark.parametrize("objective", ["nll", "sb-ece"])
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"sb_spec": BinningSpec()}, "sb_spec"),
+        ({"sb_spec": 15}, "sb_spec"),
+        ({"p": -5}, "p"),
+        ({"p": 0.5}, "p"),
+        ({"p": "2"}, "p"),
+        ({"mode": "junk"}, "mode"),
+        ({"mode": None}, "mode"),
+    ],
+)
+def test_fit_refuses_bad_arguments_before_any_evaluation(monkeypatch, objective, kwargs, name):
+    # Both objectives check every argument, even those only the other reads,
+    # and before the first evaluation.
+    import softcal.recalibrate
+
+    monkeypatch.setattr(softcal.recalibrate, "_objective_fn", lambda *a: pytest.fail("evaluated"))
+    es = EvalSet(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        fit_temperature(es, objective=objective, **kwargs)
