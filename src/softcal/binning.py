@@ -19,6 +19,11 @@ EQUAL_WIDTH = "equal-width"
 EQUAL_MASS = "equal-mass"
 SCHEMES = (EQUAL_WIDTH, EQUAL_MASS)
 
+# The reduction modes of an ECE: see metrics.
+BINNED = "binned"
+LABEL_BINNED = "label-binned"
+MODES = (BINNED, LABEL_BINNED)
+
 
 @dataclass(frozen=True)
 class BinningSpec:
@@ -32,14 +37,20 @@ class BinningSpec:
 
 @dataclass(frozen=True)
 class SoftBinningSpec:
-    """Soft equal-width binning: centers (j + 0.5)/M, softmax temperature > 0."""
+    """SB-ECE's settings: soft equal-width binning (centers (j + 0.5)/M,
+    softmax temperature > 0), the l_p exponent p >= 1 and the reduction mode.
+    Memberships read only num_bins and temperature."""
 
     num_bins: int = 15
     temperature: float = 0.01
+    p: float = 2.0
+    mode: str = LABEL_BINNED
 
     def __post_init__(self):
         check_int("num_bins", self.num_bins, 1)
         check_real("bin_temperature", self.temperature, 0, strict=True)
+        object.__setattr__(self, "p", float(check_real("p", self.p, 1)))
+        check_choice("mode", self.mode, MODES)
 
     @property
     def centers(self) -> np.ndarray:

@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .binning import SCHEMES, BinningSpec, SoftBinningSpec
+from .binning import BINNED, MODES, SCHEMES, BinningSpec, SoftBinningSpec
 from .data import EvalSet, IngestionError, check_int, check_real, summarize
 from .io import DataError, UsageError, load_json, load_run_config, read_logits_csv, write_logits_csv
 from .losses import LossSpec
-from .metrics import BINNED, LABEL_BINNED, MODES, ece, eval_convention_ece, reliability_table, sb_ece
+from .metrics import ece, eval_convention_ece, reliability_table, sb_ece
 from .recalibrate import OBJECTIVES, FitError, fit_temperature
 from .synthetic import make_synthetic_task
 from .trainer import SWEEP_ORDER, TrainingDivergedError, train, sweep_one_at_a_time
@@ -90,7 +90,7 @@ def _metrics_block(path: str, spec: BinningSpec | SoftBinningSpec, args) -> dict
     # The summary holds no reference to the logits, so they are freed
     # before the metric and entropy temporaries are made.
     summary = summarize(read_logits_csv(path))
-    report = (sb_ece(summary.confidence, summary.accuracy, spec, p=args.p, mode=args.mode) if args.soft
+    report = (sb_ece(summary.confidence, summary.accuracy, spec) if args.soft
               else ece(summary, spec, p=args.p, mode=args.mode))
     return {
         "n": summary.n,
@@ -108,7 +108,7 @@ def _metrics_block(path: str, spec: BinningSpec | SoftBinningSpec, args) -> dict
 
 def cmd_metrics(args) -> int:
     _check_binning_flags(args)
-    spec = (SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp) if args.soft
+    spec = (SoftBinningSpec(args.bins, args.bin_temp, args.p, args.mode) if args.soft
             else BinningSpec(scheme=args.scheme, num_bins=args.bins))
     doc = _metrics_block(args.logits, spec, args)
     if args.val_logits:
@@ -131,13 +131,13 @@ def cmd_reliability(args) -> int:
 
 def cmd_recalibrate(args) -> int:
     _check_binning_flags(args)
-    sb_spec = SoftBinningSpec(num_bins=args.bins, temperature=args.bin_temp)
+    sb_spec = SoftBinningSpec(args.bins, args.bin_temp, args.p, args.mode)
     val_set = read_logits_csv(args.val_logits)
     test_set = read_logits_csv(args.test_logits)
     with _output_errors(args.trace):
         trace = open(args.trace, "w") if args.trace else nullcontext()
     with trace:
-        fit = fit_temperature(val_set, objective=args.objective, sb_spec=sb_spec, p=args.p, mode=args.mode)
+        fit = fit_temperature(val_set, objective=args.objective, sb_spec=sb_spec)
         print(f"recalibrate: objective={args.objective} t_star={fit.t_star!r} "
               f"evaluations={len(fit.trace)} at_bound={fit.at_bound}", file=sys.stderr)
         if args.trace:
@@ -239,7 +239,7 @@ def cmd_sweep(args) -> int:
 
 def _add_binning_flags(parser, default_mode: str, scheme: bool = True) -> None:
     parser.add_argument("--bins", type=int, default=BinningSpec.num_bins, help="number of bins M")
-    parser.add_argument("--p", type=float, default=2.0, help="l_p norm exponent")
+    parser.add_argument("--p", type=float, default=SoftBinningSpec.p, help="l_p norm exponent")
     parser.add_argument("--mode", choices=MODES, default=default_mode, help="reduction mode")
     parser.add_argument(
         "--bin-temp", type=float, default=SoftBinningSpec.temperature, help="soft binning temperature"
@@ -270,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-logits", required=True)
     p.add_argument("--objective", choices=OBJECTIVES, default=OBJECTIVES[0])
     p.add_argument("--trace", help="optional CSV path for the (t, objective) trace")
-    _add_binning_flags(p, default_mode=LABEL_BINNED, scheme=False)
+    _add_binning_flags(p, default_mode=SoftBinningSpec.mode, scheme=False)
     p.set_defaults(func=cmd_recalibrate)
 
     p = sub.add_parser("train", help="train an MLP on a synthetic task from a config")

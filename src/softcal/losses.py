@@ -17,7 +17,7 @@ import numpy as np
 from .avuc import avuc_grad, s_avuc_grad
 from .binning import SoftBinningSpec
 from .data import PredictionSummary, check_choice, check_int, check_real, summarize_arrays
-from .metrics import LABEL_BINNED, MODES, sb_ece_grad
+from .metrics import sb_ece_grad
 
 PRIMARIES = ("nll", "focal", "mse")
 SECONDARIES = ("none", "sb-ece", "avuc", "avuc-gs", "s-avuc")
@@ -38,10 +38,10 @@ class LossSpec:
     secondary: str = "none"
     beta: float = 0.0
     lam: float = 0.0
-    bins: int = 15
-    bin_temperature: float = 0.01
-    p: float = 2.0
-    mode: str = LABEL_BINNED
+    bins: int = SoftBinningSpec.num_bins
+    bin_temperature: float = SoftBinningSpec.temperature
+    p: float = SoftBinningSpec.p
+    mode: str = SoftBinningSpec.mode
     kappa: float = 0.5
     soft_temperature: float = 1.0
 
@@ -50,10 +50,9 @@ class LossSpec:
         check_choice("secondary", self.secondary, SECONDARIES)
         for name in ("gamma", "beta", "lam"):
             check_real(name, getattr(self, name), 0)
-        check_choice("mode", self.mode, MODES)
-        check_real("p", self.p, 1)
         check_int("bins", self.bins, 1)
-        for name in ("bin_temperature", "kappa", "soft_temperature"):
+        self._sb_spec  # refuses a bad bin_temperature, p or mode under its field's name
+        for name in ("kappa", "soft_temperature"):
             check_real(name, getattr(self, name), 0, strict=True)
         if self.secondary == "s-avuc":
             # S-AvUC thresholds normalized entropy, which lies in [0, 1].
@@ -67,6 +66,11 @@ class LossSpec:
                 "secondary term is inert or unweighted",
                 stacklevel=level,
             )
+
+    @property
+    def _sb_spec(self) -> SoftBinningSpec:
+        """The SB-ECE secondary's settings."""
+        return SoftBinningSpec(self.bins, self.bin_temperature, self.p, self.mode)
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,7 @@ def secondary_loss(summary: PredictionSummary, spec: LossSpec) -> tuple[float, n
     """Value and logit gradient of the configured secondary; raises
     DegenerateBatchError when an AvUC denominator vanishes."""
     if spec.secondary == "sb-ece":
-        sbspec = SoftBinningSpec(num_bins=spec.bins, temperature=spec.bin_temperature)
-        return sb_ece_grad(summary, sbspec, p=spec.p, mode=spec.mode)
+        return sb_ece_grad(summary, spec._sb_spec)
     if spec.secondary in ("avuc", "avuc-gs"):
         return avuc_grad(summary, spec.kappa, spec.secondary == "avuc-gs")
     if spec.secondary == "s-avuc":

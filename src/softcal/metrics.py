@@ -20,12 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import BinningSpec, SoftBinningSpec, assign_hard, membership_derivative, soft_membership
+from .binning import (BINNED, LABEL_BINNED, MODES, BinningSpec, SoftBinningSpec, assign_hard,
+                      membership_derivative, soft_membership)
 from .data import PredictionSummary, _blocks, check_choice, check_real
-
-BINNED = "binned"
-LABEL_BINNED = "label-binned"
-MODES = (BINNED, LABEL_BINNED)
 
 # Mass floor used before dividing by soft bin mass; memberships are strictly
 # positive so this only guards pathological underflow.
@@ -88,12 +85,11 @@ def sb_ece(
     confidence: np.ndarray,
     accuracy: np.ndarray,
     spec: SoftBinningSpec,
-    p: float = 2.0,
-    mode: str = LABEL_BINNED,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EceReport:
     """Soft-binned ECE, the differentiable relaxation of the equal-width
-    metric, on per-example confidence and 0/1 accuracy arrays.
+    metric, on per-example confidence and 0/1 accuracy arrays, with spec's
+    bins, temperature, p and mode.
 
     out, when given, is a caller-owned pair of C-contiguous float64 (M, N)
     arrays: the first holds the memberships, the second the label-binned
@@ -101,20 +97,19 @@ def sb_ece(
     size then allocates no (M, N) array, and the next call overwrites both.
     The value is bit-identical to a call without out.
     """
-    p = float(check_real("p", p, 1))
-    check_choice("mode", mode, MODES)
-    r, _, stats = _sb_ece_forward(confidence, accuracy, spec, p, mode, out)
-    return EceReport(value=float(r ** (1.0 / p)), bin_stats=stats)
+    r, _, stats = _sb_ece_forward(confidence, accuracy, spec, out)
+    return EceReport(value=float(r ** (1.0 / spec.p)), bin_stats=stats)
 
 
 def _sb_ece_forward(
-    confidence: np.ndarray, accuracy: np.ndarray, spec: SoftBinningSpec, p: float, mode: str,
+    confidence: np.ndarray, accuracy: np.ndarray, spec: SoftBinningSpec,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, BinStats]:
     """SB-ECE to the power p, the bins-major (M, N) memberships u and the
     soft bin statistics: the forward half shared by value and gradient.
     out is the (memberships, gaps) buffer pair of sb_ece."""
     u_out, d_out = (None, None) if out is None else out
+    p, mode = spec.p, spec.mode
     u = soft_membership(confidence, spec, out=u_out).T  # (M, N)
     s = u.sum(axis=1)
     sf = np.maximum(s, _MASS_FLOOR)
@@ -173,21 +168,19 @@ def entropy_logit_jacobian(summary: PredictionSummary) -> np.ndarray:
 def sb_ece_grad(
     summary: PredictionSummary,
     spec: SoftBinningSpec,
-    p: float = 2.0,
-    mode: str = LABEL_BINNED,
 ) -> tuple[float, np.ndarray]:
-    """SB-ECE value and gradient with respect to the logits, shape (N, K).
+    """SB-ECE value and gradient with respect to the logits, shape (N, K),
+    with spec's bins, temperature, p and mode.
 
     Accuracies are constants; memberships, bin masses and bin means are all
     functions of the confidences and are differentiated exactly, then
     chained through confidence_logit_jacobian.
     """
-    p = float(check_real("p", p, 1))
-    check_choice("mode", mode, MODES)
     c = summary.confidence
     a = summary.accuracy
     n = summary.n
-    r, u, stats = _sb_ece_forward(c, a, spec, p, mode)
+    p = spec.p
+    r, u, stats = _sb_ece_forward(c, a, spec)
     value = r ** (1.0 / p)
     if r <= 0.0:
         # Perfectly calibrated: a zero gradient, its zeros signed by the Jacobian.
@@ -199,7 +192,7 @@ def sb_ece_grad(
     s, acc_mean = stats.size[:, None], stats.mean_acc[:, None]
     sf = np.maximum(s, _MASS_FLOOR)
     dmean_acc = du * (a - acc_mean) / sf
-    if mode == LABEL_BINNED:
+    if spec.mode == LABEL_BINNED:
         gap = acc_mean - c
         ue = u * _pow_grad(gap, p)                       # dD/dA = -dD/dc
         g_bin = ue.sum(axis=1, keepdims=True)

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .binning import SoftBinningSpec
-from .data import EvalSet, _blocks, check_choice, check_real
-from .metrics import LABEL_BINNED, MODES, sb_ece
+from .data import EvalSet, _blocks, check_choice
+from .metrics import sb_ece
 
 OBJECTIVES = ("nll", "sb-ece")
 
@@ -125,13 +125,7 @@ def _exp_row_sum(shifts: np.ndarray, t: float, row: np.ndarray, out: np.ndarray,
     return s
 
 
-def _objective_fn(
-    val_set: EvalSet,
-    objective: str,
-    sb_spec: SoftBinningSpec,
-    p: float,
-    mode: str,
-) -> Callable[[float], float]:
+def _objective_fn(val_set: EvalSet, objective: str, sb_spec: SoftBinningSpec) -> Callable[[float], float]:
     logits = val_set.logits
     # Always a copy: the in-place subtraction must not reach the caller's logits.
     shifts = np.array(logits.T, order="C")  # (K, N), entries <= 0
@@ -156,29 +150,24 @@ def _objective_fn(
     accuracy = (np.argmax(logits, axis=1) == val_set.labels).astype(np.float64)
     # Membership and gap buffers, filled in place by every evaluation.
     pair = (np.empty((m, n)), np.empty((m, n)))
-    return lambda t: sb_ece(fill(t), accuracy, sb_spec, p=p, mode=mode, out=pair).value
+    return lambda t: sb_ece(fill(t), accuracy, sb_spec, out=pair).value
 
 
 def fit_temperature(
     val_set: EvalSet,
     objective: str = "nll",
-    sb_spec: SoftBinningSpec | None = None,
-    p: float = 2.0,
-    mode: str = LABEL_BINNED,
+    sb_spec: SoftBinningSpec = SoftBinningSpec(),
 ) -> TemperatureFit:
     """Fit the scaling temperature on a validation set.
 
     objective "nll" is classic temperature scaling; "sb-ece" minimizes the
-    soft-binned ECE of the post-temperature confidences (defaults: 15 bins,
-    bin temperature 0.01, p = 2, label-binned).
+    soft-binned ECE of the post-temperature confidences, binned and reduced
+    as sb_spec says (SoftBinningSpec's defaults unless given).
     """
     check_choice("objective", objective, OBJECTIVES)
-    sb_spec = SoftBinningSpec() if sb_spec is None else sb_spec
     if not isinstance(sb_spec, SoftBinningSpec):
         raise ValueError(f"sb_spec must be a SoftBinningSpec, got {sb_spec!r}")
-    p = float(check_real("p", p, 1))
-    check_choice("mode", mode, MODES)
-    fn = _objective_fn(val_set, objective, sb_spec, p, mode)
+    fn = _objective_fn(val_set, objective, sb_spec)
 
     grid = np.exp(np.linspace(np.log(T_MIN), np.log(T_MAX), GRID_POINTS))
     grid[0], grid[-1] = T_MIN, T_MAX  # exp(log(t)) misses both ends in the last bit

@@ -79,11 +79,11 @@ def test_01_soft_binning_limits_to_hard_ece(criterion_log):
     t0 = time.time()
     worst = 0.0
     for m in bin_counts:
-        soft_spec = SoftBinningSpec(num_bins=m, temperature=1e-5)
         hard_spec = BinningSpec(scheme="equal-width", num_bins=m)
         for p in (1.0, 2.0):
             for mode in (BINNED, LABEL_BINNED):
-                soft = sb_ece(s.confidence, s.accuracy, soft_spec, p=p, mode=mode).value
+                soft_spec = SoftBinningSpec(num_bins=m, temperature=1e-5, p=p, mode=mode)
+                soft = sb_ece(s.confidence, s.accuracy, soft_spec).value
                 hard = ece(s, hard_spec, p=p, mode=mode).value
                 worst = max(worst, abs(soft - hard))
     elapsed = time.time() - t0
@@ -134,8 +134,8 @@ def _grad_case(rng, family):
         m = int(rng.integers(2, 11))
         t = float(10 ** rng.uniform(-1.5, -0.5))
         mode = LABEL_BINNED if family.endswith("lb") else BINNED
-        spec = SoftBinningSpec(num_bins=m, temperature=t)
-        grad = sb_ece_grad(s, spec, p=2.0, mode=mode)[1]
+        spec = SoftBinningSpec(num_bins=m, temperature=t, p=2.0, mode=mode)
+        grad = sb_ece_grad(s, spec)[1]
         return grad, lambda q: oracles.sb_ece_ld(q, y, m, t, 2.0, mode), z
 
     if family in ("avuc", "avuc-gs"):

@@ -12,6 +12,7 @@ where one block is a single column.
 
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def widths(blocks):
 
 def fits(es):
     return [(f.t_star, f.objective_value, f.trace)
-            for f in (fit_temperature(es, obj, p=p, mode=mode) for obj, p, mode in FITS)]
+            for f in (fit_temperature(es, obj, SoftBinningSpec(p=p, mode=mode)) for obj, p, mode in FITS)]
 
 
 def summary_fields(es, t):
@@ -100,7 +101,7 @@ def test_soft_binned_values_are_bit_identical_at_any_block_count(force_blocks, b
             out = (np.full((spec.num_bins, n), np.nan), np.full((spec.num_bins, n), np.nan))
             results[k] = [
                 soft_membership(conf, spec).tobytes(),
-                *(sb_ece(conf, acc, spec, p=p, mode=mode, out=out).value
+                *(sb_ece(conf, acc, replace(spec, p=p, mode=mode), out=out).value
                   for p in (1.0, 2.0, 2.5) for mode in ("binned", "label-binned")),
             ]
         assert results[blocks] == results[1], n

@@ -15,7 +15,7 @@ import pytest
 import softcal
 import softcal.cli
 import softcal.data
-from softcal import LossSpec
+from softcal import LossSpec, SoftBinningSpec
 from softcal.cli import main
 from softcal.data import EvalSet, entropy_nats
 from softcal.io import read_logits_csv, write_logits_csv
@@ -251,6 +251,21 @@ def test_recalibrate_sb_objective_and_trace(capsys, recal_files, tmp_path):
     for line in lines[1:]:
         t, v = line.split(",")
         assert float(t) > 0 and np.isfinite(float(v))
+
+
+def test_recalibrate_passes_its_sb_ece_flags_to_the_fit(capsys, recal_files, tmp_path):
+    # Every SB-ECE flag is off its default, so a flag dropped on the way to
+    # the fit would change the trace.
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(
+        capsys, "recalibrate", "--val-logits", recal_files["val2"],
+        "--test-logits", recal_files["test2"], "--objective", "sb-ece", "--bins", "8",
+        "--bin-temp", "0.05", "--p", "1", "--mode", "binned", "--trace", str(trace),
+    )
+    assert code == 0
+    want = fit_temperature(read_logits_csv(recal_files["val2"]), "sb-ece", SoftBinningSpec(8, 0.05, 1.0, "binned"))
+    assert json.loads(out)["tStar"] == want.t_star
+    assert trace.read_text() == "temperature,objective\n" + "".join(f"{t!r},{v!r}\n" for t, v in want.trace)
 
 
 def test_trace_into_a_missing_directory_exits_64_before_the_fit(capsys, monkeypatch, recal_files, tmp_path):

@@ -167,7 +167,7 @@ def test_composite_loss_passes_each_secondary_its_settings():
         "s-avuc": (dict(kappa=0.3, soft_temperature=0.4),
                    lambda kappa, soft_temperature: s_avuc_grad(s, kappa, soft_temperature)),
         "sb-ece": (dict(bins=7, bin_temperature=0.05, p=3.0, mode=BINNED),
-                   lambda bins, bin_temperature, p, mode: sb_ece_grad(s, SoftBinningSpec(bins, bin_temperature), p, mode)),
+                   lambda bins, bin_temperature, p, mode: sb_ece_grad(s, SoftBinningSpec(bins, bin_temperature, p, mode))),
     }
     _, primary_grad = nll(s, y)
     for secondary, (settings, kernel) in cases.items():

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,8 +94,8 @@ def test_sb_ece_matches_reference():
         s = summarize(EvalSet(z, y))
         for mode in (BINNED, LABEL_BINNED):
             for p in (1.0, 2.0):
-                spec = SoftBinningSpec(num_bins=10, temperature=0.05)
-                got = sb_ece(s.confidence, s.accuracy, spec, p=p, mode=mode).value
+                spec = SoftBinningSpec(num_bins=10, temperature=0.05, p=p, mode=mode)
+                got = sb_ece(s.confidence, s.accuracy, spec).value
                 want = oracles.sb_ece_ld(z, y, 10, 0.05, p, mode)
                 assert got == pytest.approx(float(want), rel=1e-11)
 
@@ -135,8 +136,8 @@ def test_sb_ece_soft_to_hard_limit():
     acc = rng.random(400) < conf
     s = summary_from_conf(conf, acc)
     for p in (1.0, 2.0):
-        spec = SoftBinningSpec(num_bins=m, temperature=1e-5)
-        soft = sb_ece(s.confidence, s.accuracy, spec, p=p, mode=BINNED).value
+        spec = SoftBinningSpec(num_bins=m, temperature=1e-5, p=p, mode=BINNED)
+        soft = sb_ece(s.confidence, s.accuracy, spec).value
         hard = ece(s, BinningSpec(scheme="equal-width", num_bins=m), p=p, mode=BINNED).value
         assert soft == pytest.approx(hard, abs=1e-4)
 
@@ -147,13 +148,13 @@ def test_m_equals_one_label_binned_closed_form():
     rng = np.random.default_rng(9)
     z, y = random_batch(rng, n_lo=12, n_hi=12)
     s = summarize(EvalSet(z, y))
-    spec = SoftBinningSpec(num_bins=1, temperature=0.01)
     p = 2.0
-    value = sb_ece(s.confidence, s.accuracy, spec, p=p, mode=LABEL_BINNED).value
+    spec = SoftBinningSpec(num_bins=1, temperature=0.01, p=p, mode=LABEL_BINNED)
+    value = sb_ece(s.confidence, s.accuracy, spec).value
     a_bar = s.accuracy.mean()
     expect = ((np.abs(a_bar - s.confidence) ** p).mean()) ** (1 / p)
     assert value == pytest.approx(expect, rel=1e-14)
-    _, grad = sb_ece_grad(s, spec, p=p, mode=LABEL_BINNED)
+    _, grad = sb_ece_grad(s, spec)
     r = (np.abs(a_bar - s.confidence) ** p).mean()
     closed = (1 / p) * r ** (1 / p - 1) * (-p * np.abs(a_bar - s.confidence) ** (p - 1) * np.sign(a_bar - s.confidence)) / s.n
     np.testing.assert_allclose(grad, closed[:, None] * confidence_logit_jacobian(s), rtol=1e-12)
@@ -174,8 +175,8 @@ def test_sb_ece_gradient_small_sweep():
         for _ in range(20):
             z, y = random_batch(rng)
             s = summarize(EvalSet(z, y))
-            spec = SoftBinningSpec(num_bins=8, temperature=0.05)
-            _, grad = sb_ece_grad(s, spec, p=2.0, mode=mode)
+            spec = SoftBinningSpec(num_bins=8, temperature=0.05, p=2.0, mode=mode)
+            _, grad = sb_ece_grad(s, spec)
             fd = oracles.fd_grad(lambda q: oracles.sb_ece_ld(q, y, 8, 0.05, 2.0, mode), z)
             worst = max(worst, oracles.max_rel_err(grad, fd))
         assert worst <= 1e-6, f"{mode}: {worst}"
@@ -187,22 +188,23 @@ def test_value_and_gradient_apis_share_one_forward(mode, p):
     rng = np.random.default_rng(18)
     for _ in range(20):
         s = summarize(EvalSet(*random_batch(rng, n_hi=64)))
-        spec = SoftBinningSpec(num_bins=int(rng.integers(1, 16)), temperature=float(10 ** rng.uniform(-2.5, -0.5)))
-        value = sb_ece(s.confidence, s.accuracy, spec, p=p, mode=mode).value
-        assert value == sb_ece_grad(s, spec, p=p, mode=mode)[0]
+        spec = SoftBinningSpec(num_bins=int(rng.integers(1, 16)), temperature=float(10 ** rng.uniform(-2.5, -0.5)),
+                               p=p, mode=mode)
+        value = sb_ece(s.confidence, s.accuracy, spec).value
+        assert value == sb_ece_grad(s, spec)[0]
 
 
 @pytest.mark.parametrize("mode", [LABEL_BINNED, BINNED])
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_sb_ece_arrays_into_reused_buffers_matches_a_fresh_call(mode, p):
     rng = np.random.default_rng(19)
-    spec = SoftBinningSpec(num_bins=15, temperature=0.01)
+    spec = SoftBinningSpec(num_bins=15, temperature=0.01, p=p, mode=mode)
     n = 400
     pair = (np.full((15, n), np.nan), np.full((15, n), np.nan))
     for conf in (rng.uniform(0.1, 1.0, n), np.where(rng.random(n) < 0.4, 1.0, rng.uniform(0.5, 1.0, n))):
         acc = (rng.random(n) < conf).astype(np.float64)
-        got = sb_ece(conf, acc, spec, p=p, mode=mode, out=pair)
-        want = sb_ece(conf, acc, spec, p=p, mode=mode)
+        got = sb_ece(conf, acc, spec, out=pair)
+        want = sb_ece(conf, acc, spec)
         assert got.value == want.value
         for field in ("size", "mean_conf", "mean_acc"):
             np.testing.assert_array_equal(getattr(got.bin_stats, field), getattr(want.bin_stats, field))
@@ -211,11 +213,11 @@ def test_sb_ece_arrays_into_reused_buffers_matches_a_fresh_call(mode, p):
 def test_only_binned_soft_reports_carry_the_bin_mean_confidence():
     rng = np.random.default_rng(21)
     s = summarize(EvalSet(*random_batch(rng, n_lo=64, n_hi=64)))
-    spec = SoftBinningSpec(num_bins=10, temperature=0.05)
-    assert sb_ece(s.confidence, s.accuracy, spec, mode=LABEL_BINNED).bin_stats.mean_conf is None
+    spec = SoftBinningSpec(num_bins=10, temperature=0.05, mode=LABEL_BINNED)
+    assert sb_ece(s.confidence, s.accuracy, spec).bin_stats.mean_conf is None
     u = soft_membership(s.confidence, spec)  # (N, M)
     want = (u * s.confidence[:, None]).sum(axis=0) / u.sum(axis=0)
-    got = sb_ece(s.confidence, s.accuracy, spec, mode=BINNED).bin_stats.mean_conf
+    got = sb_ece(s.confidence, s.accuracy, replace(spec, mode=BINNED)).bin_stats.mean_conf
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 

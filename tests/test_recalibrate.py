@@ -18,7 +18,6 @@ from softcal import (
     sb_ece,
     summarize,
 )
-from softcal.metrics import LABEL_BINNED
 from softcal.recalibrate import GRID_POINTS, REFINE_TOL, T_MAX, T_MIN, _exp_row_sum, _objective_fn, brent_minimize
 
 
@@ -102,7 +101,7 @@ def test_fit_agrees_with_the_reference_search(objective):
     spec = SoftBinningSpec(num_bins=15, temperature=0.01)
     for es in sets:
         fit = fit_temperature(es, objective=objective, sb_spec=spec)
-        fn = _objective_fn(es, objective, spec, 2.0, LABEL_BINNED)
+        fn = _objective_fn(es, objective, spec)
         t_ref, v_ref = oracles.reference_temperature_search(fn, T_MIN, T_MAX, tol=REFINE_TOL)
         assert abs(fit.t_star - t_ref) <= REFINE_TOL
         assert fit.objective_value <= v_ref + 1e-9
@@ -192,14 +191,14 @@ def test_fit_trace_matches_the_summarize_path(objective, mode, p):
     # agree with the objective computed from a full summary at that t.
     rng = np.random.default_rng(36)
     es = scaled_posterior_set(rng, 2000, 5, 2.0)
-    spec = SoftBinningSpec(num_bins=15, temperature=0.01)
-    fit = fit_temperature(es, objective=objective, sb_spec=spec, p=p, mode=mode)
+    spec = SoftBinningSpec(num_bins=15, temperature=0.01, p=p, mode=mode)
+    fit = fit_temperature(es, objective=objective, sb_spec=spec)
     for t, v in fit.trace:
         s = summarize(es, t)
         if objective == "nll":
             ref = nll(s, es.labels)[0]
         else:
-            ref = sb_ece(s.confidence, s.accuracy, spec, p=p, mode=mode).value
+            ref = sb_ece(s.confidence, s.accuracy, spec).value
         assert v == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -261,11 +260,12 @@ def test_fit_rejects_unknown_objective():
     ],
 )
 def test_fit_refuses_bad_arguments_before_any_evaluation(monkeypatch, objective, kwargs, name):
-    # Both objectives check every argument, even those only the other reads,
-    # and before the first evaluation.
+    # Both objectives check sb_spec, even the one that does not read it, and
+    # before the first evaluation; a bad p or mode is refused by SoftBinningSpec.
     import softcal.recalibrate
 
     monkeypatch.setattr(softcal.recalibrate, "_objective_fn", lambda *a: pytest.fail("evaluated"))
     es = EvalSet(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
     with pytest.raises(ValueError, match=f"^{name} must"):
-        fit_temperature(es, objective=objective, **kwargs)
+        sb_spec = kwargs["sb_spec"] if "sb_spec" in kwargs else SoftBinningSpec(**kwargs)
+        fit_temperature(es, objective=objective, sb_spec=sb_spec)
