@@ -57,16 +57,19 @@ def check_choice(name: str, value, choices: tuple) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def check_labels(labels, n: int) -> np.ndarray:
-    """The labels as int64 once they pass the EvalSet rules that need no
-    class count: shape (n,) and integer values (NaN and inf are not)."""
+def check_labels(labels, n: int, num_classes: int | None = None) -> np.ndarray:
+    """The labels as int64 once they pass the label rule: shape (n,), integer
+    values (NaN and inf are not) and, given a class count, all in [0, num_classes)."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n:
         raise IngestionError(f"labels must have shape ({n},), got {labels.shape}")
     if not np.issubdtype(labels.dtype, np.integer):
         if not (np.isfinite(labels).all() and (labels == np.floor(labels)).all()):
             raise IngestionError("labels must be integers")
-    return labels.astype(np.int64)
+    labels = labels.astype(np.int64)
+    if num_classes is not None and (labels.min() < 0 or labels.max() >= num_classes):
+        raise IngestionError(f"labels must lie in [0, {num_classes}), got range [{labels.min()}, {labels.max()}]")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -84,14 +87,8 @@ class EvalSet:
             )
         if not np.all(np.isfinite(logits)):
             raise IngestionError("logits contain non-finite values")
-        labels = check_labels(self.labels, logits.shape[0])
-        if labels.min() < 0 or labels.max() >= logits.shape[1]:
-            raise IngestionError(
-                f"labels must lie in [0, {logits.shape[1]}), got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
         object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", check_labels(self.labels, *logits.shape))
 
     @property
     def n(self) -> int:

@@ -86,35 +86,35 @@ def _scan_logits_csv(path: str, handle) -> EvalSet:
     labels: list[int] = []
     rows: list[list[float]] = []
     width = None
-    for lineno, row in enumerate(csv.reader(handle), start=1):
-        if not row:
-            continue
-        if len(row) < 3:
-            raise DataError(
-                f"{path}:{lineno}: need a label and at least 2 logits, got {len(row)} fields"
-            )
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DataError(
-                f"{path}:{lineno}: expected {width} fields, got {len(row)}"
-            )
-        try:
-            label = int(row[0])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: label {row[0]!r} is not an integer") from None
-        try:
-            logits = [float(v) for v in row[1:]]
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric logit") from None
-        if not all(np.isfinite(logits)):
-            raise DataError(f"{path}:{lineno}: non-finite logit")
-        if not 0 <= label < width - 1:
-            raise DataError(
-                f"{path}:{lineno}: label {label} outside [0, {width - 1})"
-            )
-        labels.append(label)
-        rows.append(logits)
+    reader = csv.reader(handle)
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) < 3:
+                raise DataError(f"{path}:{lineno}: need a label and at least 2 logits, got {len(row)} fields")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            try:
+                label = int(row[0])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: label {row[0]!r} is not an integer") from None
+            try:
+                logits = [float(v) for v in row[1:]]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric logit") from None
+            if not all(np.isfinite(logits)):
+                raise DataError(f"{path}:{lineno}: non-finite logit")
+            if not 0 <= label < width - 1:
+                raise DataError(f"{path}:{lineno}: label {label} outside [0, {width - 1})")
+            labels.append(label)
+            rows.append(logits)
+    except UnicodeDecodeError as err:  # where the decoder stopped is not a line number
+        raise DataError(f"{path}: cannot decode as {err.encoding}: {err.reason}") from None
+    except csv.Error as err:  # a field over csv.field_size_limit(), for one
+        raise DataError(f"{path}:{reader.line_num}: {err}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     try:
@@ -205,7 +205,7 @@ def load_json(path: str):
             return json.load(handle)
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise DataError(f"{path} is not valid JSON: {err}") from err
 
 

@@ -54,9 +54,8 @@ def bin_stats_hard(summary: PredictionSummary, spec: BinningSpec) -> tuple[BinSt
     size = np.bincount(idx, minlength=m).astype(np.float64)
     conf_sum = np.bincount(idx, weights=summary.confidence, minlength=m)
     acc_sum = np.bincount(idx, weights=summary.accuracy, minlength=m)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_conf = np.where(size > 0, conf_sum / np.maximum(size, 1.0), np.nan)
-        mean_acc = np.where(size > 0, acc_sum / np.maximum(size, 1.0), np.nan)
+    mean_conf = np.where(size > 0, conf_sum / np.maximum(size, 1.0), np.nan)
+    mean_acc = np.where(size > 0, acc_sum / np.maximum(size, 1.0), np.nan)
     return BinStats(size=size, mean_conf=mean_conf, mean_acc=mean_acc), idx
 
 
@@ -207,7 +206,7 @@ def sb_ece_grad(
     return float(value), dc[:, None] * confidence_logit_jacobian(summary)
 
 
-def eval_convention_ece(summary: PredictionSummary, num_bins: int = 15) -> float:
+def eval_convention_ece(summary: PredictionSummary, num_bins: int = BinningSpec.num_bins) -> float:
     """Reporting convention used everywhere: l2, equal-mass bins, binned mode."""
     return ece(summary, BinningSpec(scheme="equal-mass", num_bins=num_bins), p=2.0, mode=BINNED).value
 

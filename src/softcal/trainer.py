@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .avuc import DegenerateBatchError
+from .binning import BinningSpec
 from .data import EvalSet, IngestionError, check_int, check_labels, check_real, summarize
 from .losses import LossSpec, LossValueGrad, composite_loss
 from .metrics import eval_convention_ece
@@ -42,7 +43,7 @@ class TrainConfig:
     seed: int = 0
     lr_drop_epochs: tuple = ()
     lr_drop_factor: float = 0.1
-    eval_bins: int = 15
+    eval_bins: int = BinningSpec.num_bins
 
     def __post_init__(self):
         check_real("learning_rate", self.learning_rate, 0, strict=True)
@@ -113,12 +114,12 @@ def train(
     if num_classes is None:
         num_classes = int(max(y_train.max(), y_val.max())) + 1
 
-    # Both label sets pass the EvalSet rules once, here, so the batches skip
-    # them.  Every epoch's forward writes its logits into val_set.logits, the
-    # last of the buffers in val_out, so the validation pass allocates no
+    # Both label sets pass the label rule once, here, so the batches skip it.
+    # Every epoch's forward writes its logits into val_set.logits, the last
+    # of the buffers in val_out, so the validation pass allocates no
     # per-epoch arrays.
-    y_train = EvalSet(np.zeros((x_train.shape[0], num_classes)), y_train).labels
     val_set = EvalSet(np.zeros((x_val.shape[0], num_classes)), y_val)
+    y_train = check_labels(y_train, x_train.shape[0], num_classes)
     val_out = [np.empty((x_val.shape[0], width)) for width in config.hidden] + [val_set.logits]
 
     rng = np.random.default_rng(config.seed)

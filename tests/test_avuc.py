@@ -13,7 +13,7 @@ from softcal import (
     soft_uncertainty,
     summarize,
 )
-from softcal.avuc import _avuc_forward, _s_avuc_forward, _soft_uncertainty_slope
+from softcal.avuc import _HSTAR_HI, _HSTAR_LO, _avuc_forward, _s_avuc_forward, _soft_uncertainty_slope
 
 
 def raw_summary(conf, entropy, acc, k=2):
@@ -179,6 +179,10 @@ def test_soft_uncertainty_grad_zero_in_clamp_region():
     assert slope(0.0) == 0.0
     assert slope(1.0) == 0.0
     assert slope(0.5) > 0.0
+    # The clamp edges themselves are inside; one ulp beyond each is not.
+    assert slope(_HSTAR_LO) > 0.0 and slope(_HSTAR_HI) > 0.0
+    assert slope(np.nextafter(_HSTAR_LO, 0.0)) == 0.0
+    assert slope(np.nextafter(_HSTAR_HI, 1.0)) == 0.0
 
 
 def test_s_avuc_requires_temperature():

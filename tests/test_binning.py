@@ -24,6 +24,24 @@ def test_spec_validation():
     SoftBinningSpec(num_bins=1)  # M = 1 is a legitimate degenerate reduction
 
 
+SHAPE, VALUES = "confidences must be a non-empty 1-d array", "confidences must be finite and lie in [0, 1]"
+
+
+# One case per clause of each check, so a clause that stops refusing is caught.
+@pytest.mark.parametrize("conf, message", [
+    (np.array([[0.2, 0.4]]), SHAPE),
+    (np.array([]), SHAPE),
+    (np.array([0.2, np.nan]), VALUES),
+    (np.array([0.2, -0.1]), VALUES),
+    (np.array([0.2, 1.1]), VALUES),
+], ids=["2-d", "empty", "nan", "below-0", "above-1"])
+@pytest.mark.parametrize("scheme", ["equal-width", "equal-mass"])
+def test_assign_hard_refuses_each_kind_of_bad_confidences(conf, message, scheme):
+    with pytest.raises(ValueError) as err:
+        assign_hard(conf, BinningSpec(scheme=scheme, num_bins=3))
+    assert str(err.value) == message
+
+
 def test_soft_centers():
     np.testing.assert_array_equal(
         SoftBinningSpec(num_bins=4, temperature=0.1).centers,
@@ -119,6 +137,7 @@ def test_membership_frozen_value():
 def test_membership_shapes():
     spec = SoftBinningSpec(num_bins=5, temperature=0.1)
     assert soft_membership(0.3, spec).shape == (5,)
+    assert soft_membership(np.array(0.3), spec).shape == (5,)  # a 0-d array is a scalar too
     assert soft_membership(np.array([0.3, 0.7]), spec).shape == (2, 5)
 
 

@@ -302,3 +302,35 @@ def test_each_junk_value_in_each_sweep_stage_exits_64_naming_the_stage(tmp_path,
                       "--out", str(out_dir)])
     check_train_exit(*result, out_dir, {key})
     assert result[0] == (0 if key in ("beta", "lam") and grid[key] == [-0.0] else 64), result[2]
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+BAD_FILES = [
+    pytest.param("train", "config", NOT_UTF8, " is not valid JSON: ", id="config-not-utf8"),
+    pytest.param("sweep", "grid", NOT_UTF8, " is not valid JSON: ", id="grid-not-utf8"),
+    pytest.param("train", "config", b"[" * 100_000 + b"]" * 100_000, " is not valid JSON: ", id="config-nested-too-deep"),
+    pytest.param("metrics", "logits", b"0,1.0,2.0\n1,\xff,2\n", ": cannot decode as ", id="logits-not-utf8"),
+    pytest.param("metrics", "logits", b"0,1.0,2.0\n1," + b"1" * 200_000 + b",2\n",
+                 ":2: field larger than field limit", id="logits-field-over-csv-limit"),
+]
+
+
+@pytest.mark.parametrize("command, role, content, reason", BAD_FILES)
+def test_files_that_do_not_decode_or_parse_exit_2_naming_the_file(tmp_path, command, role, content, reason):
+    """Bytes that are not text, JSON nested past the parser's depth and a CSV
+    field over the csv module's size limit are malformed data: exit 2 with
+    one line that names the file, and no output directory."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    (tmp_path / "run.json").write_text(json.dumps(TINY))
+    (tmp_path / "grid.json").write_text(json.dumps({"beta": [0.5]}))
+    files = {"config": tmp_path / "run.json", "grid": tmp_path / "grid.json", role: bad}
+    flags = {"train": ["config"], "sweep": ["config", "grid"], "metrics": ["logits"]}[command]
+    argv = [command, *(arg for flag in flags for arg in (f"--{flag}", str(files[flag])))]
+    if command != "metrics":
+        argv += ["--out", str(tmp_path / "out")]
+    code, out, err, caught = run(argv)
+    assert [str(w.message) for w in caught] == []
+    assert (code, out, len(err.splitlines())) == (2, "", 1), err
+    assert err.startswith(f"data error: {bad}{reason}"), err
+    assert not (tmp_path / "out").exists()

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from softcal import BinningSpec, EvalSet, IngestionError, LossSpec, SoftBinningSpec, TaskSpec, summarize
-from softcal.data import check_choice, check_int, check_real, entropy_nats
+from softcal.data import check_choice, check_int, check_labels, check_real, entropy_nats
 from softcal.synthetic import make_synthetic_task
 from softcal.trainer import TrainConfig
 
@@ -32,10 +32,20 @@ def test_eval_set_validates_shapes_and_values():
         EvalSet(z, np.array([0, 1, 4]))  # label out of range
     with pytest.raises(IngestionError):
         EvalSet(z, np.array([0.0, 1.0, 2.5]))  # non-integer label
+    with pytest.raises(IngestionError, match="^labels must be integers$"):
+        EvalSet(z, np.array([0.5, 1.5, 2.5]))  # no label integer
     bad = z.copy()
     bad[1, 2] = np.inf
     with pytest.raises(IngestionError):
         EvalSet(bad, y)
+
+
+def test_label_range_refusal_quotes_the_class_count_and_the_range():
+    with pytest.raises(IngestionError, match=r"^labels must lie in \[0, 4\), got range \[-1, 2\]$"):
+        EvalSet(np.zeros((3, 4)), np.array([0, -1, 2]))
+    with pytest.raises(IngestionError, match=r"^labels must lie in \[0, 2\), got range \[0, 2\]$"):
+        check_labels([0, 2, 1], 3, 2)
+    np.testing.assert_array_equal(check_labels([0, 2, 1], 3), [0, 2, 1])  # no class count, no range rule
 
 
 def test_eval_set_casts_and_exposes_dims():
@@ -43,6 +53,9 @@ def test_eval_set_casts_and_exposes_dims():
     assert s.logits.dtype == np.float64
     assert s.labels.dtype == np.int64
     assert (s.n, s.num_classes) == (5, 3)
+    labels = EvalSet(np.zeros((3, 4)), np.array([0.0, 1.0, 2.0])).labels  # integer-valued floats
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, [0, 1, 2])
 
 
 def test_softmax_rows_frozen_value():
@@ -192,6 +205,7 @@ def test_the_scalar_checks_accept_numpy_scalars_and_refuse_bools_and_strings():
         (("x", 1.5, 2), "x must be an integer >= 2, got 1.5"),
         (("x", -1, 0), "x must be a non-negative integer, got -1"),
         (("x", 0, 1), "x must be a positive integer, got 0"),
+        (("x", 2**63, 0), "x must be a non-negative integer, got 9223372036854775808"),  # over int64
     ],
 )
 def test_check_int_names_the_field_and_the_least_value(args, message):
@@ -199,6 +213,7 @@ def test_check_int_names_the_field_and_the_least_value(args, message):
         check_int(*args)
     assert str(err.value) == message
     assert check_int("x", 2, 2) == 2
+    assert check_int("x", 2**63 - 1, 0) == 2**63 - 1  # the int64 maximum itself
 
 
 @pytest.mark.parametrize(

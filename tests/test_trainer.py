@@ -315,6 +315,14 @@ def test_bad_training_data_is_an_ingestion_error_before_the_first_epoch(fault, m
         train((x, y), (x_val, task.y_val), TrainConfig(hidden=(8,), epochs=1), num_classes=num_classes)
 
 
+def test_train_builds_one_eval_set_the_validation_buffer(monkeypatch):
+    task = make_synthetic_task("gaussian-blobs", 300, seed=11)
+    built = []
+    monkeypatch.setattr(trainer_module, "EvalSet", lambda *args: built.append(EvalSet(*args)) or built[-1])
+    train((task.x_train, task.y_train), (task.x_val, task.y_val), TrainConfig(hidden=(8,), epochs=1))
+    assert [s.logits.shape for s in built] == [(len(task.y_val), 2)]
+
+
 def test_config_validation():
     for bad in (
         dict(learning_rate=0.0),
