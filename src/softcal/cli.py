@@ -23,7 +23,7 @@ import numpy as np
 
 from .binning import BINNED, MODES, SCHEMES, BinningSpec, SoftBinningSpec
 from .data import EvalSet, IngestionError, check_int, check_real, summarize
-from .io import DataError, UsageError, load_json, load_run_config, read_logits_csv, write_logits_csv
+from .io import UsageError, load_json, load_run_config, read_logits_csv, write_logits_csv
 from .losses import LossSpec
 from .metrics import ece, eval_convention_ece, reliability_table, sb_ece
 from .recalibrate import OBJECTIVES, FitError, fit_temperature
@@ -291,12 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 64
-    except SystemExit as err:  # --help
-        return int(err.code or 0)
-    try:
         # Logit ranges past float64 overflow to -inf shifts, whose exp is
         # the intended 0; numpy's warning about them is not printed.  Other
         # warnings are printed once each, and only if the command succeeds.
@@ -306,10 +300,12 @@ def main(argv=None) -> int:
         for message in dict.fromkeys(str(w.message) for w in caught):
             print(f"warning: {message}", file=sys.stderr)
         return code
+    except SystemExit as err:  # --help
+        return int(err.code or 0)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 64
-    except (DataError, IngestionError, FitError) as err:
+    except (IngestionError, FitError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except TrainingDivergedError as err:

@@ -20,7 +20,8 @@ import numpy as np
 
 
 class IngestionError(ValueError):
-    """Logits or labels failed validation on ingestion."""
+    """An input file could not be read or parsed, or logits or labels failed
+    validation; CLI exit code 2."""
 
 
 # The one rule for a scalar setting: a bool or a string is never a number, a
@@ -59,17 +60,20 @@ def check_choice(name: str, value, choices: tuple) -> None:
 
 def check_labels(labels, n: int, num_classes: int | None = None) -> np.ndarray:
     """The labels as int64 once they pass the label rule: shape (n,), integer
-    values (NaN and inf are not) and, given a class count, all in [0, num_classes)."""
+    values (NaN and inf are not) that int64 holds, checked before the cast,
+    and, given a class count, all in [0, num_classes)."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n:
         raise IngestionError(f"labels must have shape ({n},), got {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        if not (np.isfinite(labels).all() and (labels == np.floor(labels)).all()):
-            raise IngestionError("labels must be integers")
-    labels = labels.astype(np.int64)
-    if num_classes is not None and (labels.min() < 0 or labels.max() >= num_classes):
-        raise IngestionError(f"labels must lie in [0, {num_classes}), got range [{labels.min()}, {labels.max()}]")
-    return labels
+    kind = labels.dtype.kind
+    if kind not in "biuf" or (kind == "f" and not (np.isfinite(labels).all() and (labels == np.floor(labels)).all())):
+        raise IngestionError("labels must be integers")
+    lo, hi = (int(labels.min()), int(labels.max())) if n else (0, 0)
+    if num_classes is not None and (lo < 0 or hi >= num_classes):
+        raise IngestionError(f"labels must lie in [0, {num_classes}), got range [{lo}, {hi}]")
+    if lo < -(2**63) or hi > _INT64_MAX:
+        raise IngestionError(f"labels must lie in int64's range, got range [{lo}, {hi}]")
+    return labels.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,6 @@ class UsageError(Exception):
     """Bad flags or config schema; CLI exit code 64."""
 
 
-class DataError(Exception):
-    """Unreadable or malformed input data; CLI exit code 2."""
-
-
 def read_logits_csv(path: str) -> EvalSet:
     """Parse a logits CSV into an EvalSet, reporting 1-based line numbers.
 
@@ -45,7 +41,7 @@ def read_logits_csv(path: str) -> EvalSet:
     try:
         handle = open(path, newline="")
     except OSError as err:
-        raise DataError(f"cannot read {path}: {err}") from err
+        raise IngestionError(f"cannot read {path}: {err}") from err
     with handle:
         if handle.seekable():
             try:
@@ -81,8 +77,8 @@ def _loadtxt_logits(handle) -> EvalSet:
 
 
 def _scan_logits_csv(path: str, handle) -> EvalSet:
-    """The reference line-by-line parse behind read_logits_csv; path names
-    the file in error messages."""
+    """The reference line-by-line parse behind read_logits_csv: its checks
+    include all of EvalSet's, and path names the file in error messages."""
     labels: list[int] = []
     rows: list[list[float]] = []
     width = None
@@ -92,35 +88,32 @@ def _scan_logits_csv(path: str, handle) -> EvalSet:
             if not row:
                 continue
             if len(row) < 3:
-                raise DataError(f"{path}:{lineno}: need a label and at least 2 logits, got {len(row)} fields")
+                raise IngestionError(f"{path}:{lineno}: need a label and at least 2 logits, got {len(row)} fields")
             if width is None:
                 width = len(row)
             elif len(row) != width:
-                raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                raise IngestionError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
             try:
                 label = int(row[0])
             except ValueError:
-                raise DataError(f"{path}:{lineno}: label {row[0]!r} is not an integer") from None
+                raise IngestionError(f"{path}:{lineno}: label {row[0]!r} is not an integer") from None
             try:
                 logits = [float(v) for v in row[1:]]
             except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric logit") from None
+                raise IngestionError(f"{path}:{lineno}: non-numeric logit") from None
             if not all(np.isfinite(logits)):
-                raise DataError(f"{path}:{lineno}: non-finite logit")
+                raise IngestionError(f"{path}:{lineno}: non-finite logit")
             if not 0 <= label < width - 1:
-                raise DataError(f"{path}:{lineno}: label {label} outside [0, {width - 1})")
+                raise IngestionError(f"{path}:{lineno}: label {label} outside [0, {width - 1})")
             labels.append(label)
             rows.append(logits)
     except UnicodeDecodeError as err:  # where the decoder stopped is not a line number
-        raise DataError(f"{path}: cannot decode as {err.encoding}: {err.reason}") from None
+        raise IngestionError(f"{path}: cannot decode as {err.encoding}: {err.reason}") from None
     except csv.Error as err:  # a field over csv.field_size_limit(), for one
-        raise DataError(f"{path}:{reader.line_num}: {err}") from None
+        raise IngestionError(f"{path}:{reader.line_num}: {err}") from None
     if not rows:
-        raise DataError(f"{path}: no data rows")
-    try:
-        return EvalSet(np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64))
-    except IngestionError as err:
-        raise DataError(f"{path}: {err}") from err
+        raise IngestionError(f"{path}: no data rows")
+    return EvalSet(np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64))
 
 
 _WRITE_BLOCK_ROWS = 4096
@@ -204,9 +197,9 @@ def load_json(path: str):
         with open(path) as handle:
             return json.load(handle)
     except OSError as err:
-        raise DataError(f"cannot read {path}: {err}") from err
+        raise IngestionError(f"cannot read {path}: {err}") from err
     except (ValueError, RecursionError) as err:  # JSONDecodeError, UnicodeDecodeError, deep nesting
-        raise DataError(f"{path} is not valid JSON: {err}") from err
+        raise IngestionError(f"{path} is not valid JSON: {err}") from err
 
 
 def load_run_config(path: str) -> RunConfig:

@@ -334,3 +334,24 @@ def test_files_that_do_not_decode_or_parse_exit_2_naming_the_file(tmp_path, comm
     assert (code, out, len(err.splitlines())) == (2, "", 1), err
     assert err.startswith(f"data error: {bad}{reason}"), err
     assert not (tmp_path / "out").exists()
+
+
+NOT_AN_OBJECT = [
+    pytest.param("train", "config", [1], "run config must be a JSON object", id="config-list"),
+    pytest.param("sweep", "grid", "x", "grid file must be a JSON object", id="grid-string"),
+]
+
+
+@pytest.mark.parametrize("command, role, doc, reason", NOT_AN_OBJECT)
+def test_json_files_that_are_not_objects_exit_64_before_out_is_made(tmp_path, command, role, doc, reason):
+    """A config or grid file that is valid JSON but not an object is bad usage,
+    not bad data: exit 64 with one line, and no output directory."""
+    docs = {"config": TINY, "grid": {"beta": [0.5]}, role: doc}
+    for name, content in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    flags = {"train": ["config"], "sweep": ["config", "grid"]}[command]
+    argv = [command, *(arg for flag in flags for arg in (f"--{flag}", str(tmp_path / f"{flag}.json")))]
+    code, out, err, caught = run([*argv, "--out", str(tmp_path / "out")])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out, err) == (64, "", f"usage error: {reason}\n")
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -46,6 +47,47 @@ def test_label_range_refusal_quotes_the_class_count_and_the_range():
     with pytest.raises(IngestionError, match=r"^labels must lie in \[0, 2\), got range \[0, 2\]$"):
         check_labels([0, 2, 1], 3, 2)
     np.testing.assert_array_equal(check_labels([0, 2, 1], 3), [0, 2, 1])  # no class count, no range rule
+
+
+@pytest.mark.parametrize(
+    "labels, num_classes, message",
+    [
+        pytest.param([0.0, 1.0, 1e20], 4, r"labels must lie in \[0, 4\), got range \[0, 100000000000000000000\]",
+                     id="float-past-int64"),
+        pytest.param(np.array([0, 1, 2**64 - 1], dtype=np.uint64), 4,
+                     r"labels must lie in \[0, 4\), got range \[0, 18446744073709551615\]", id="uint64-max"),
+        pytest.param([0, 1e20], None, r"labels must lie in int64's range, got range \[0, 100000000000000000000\]",
+                     id="float-past-int64-no-class-count"),
+        pytest.param([0.0, 2.0**63], None,
+                     r"labels must lie in int64's range, got range \[0, 9223372036854775808\]", id="float-2-to-the-63"),
+        pytest.param([-(2.0**63) - 2048, 0.0], None,
+                     r"labels must lie in int64's range, got range \[-9223372036854777856, 0\]",
+                     id="float-below-int64"),
+        pytest.param(np.array([0, 2**64 - 1], dtype=np.uint64), None,
+                     r"labels must lie in int64's range, got range \[0, 18446744073709551615\]",
+                     id="uint64-max-no-class-count"),
+        pytest.param(["0", "1", "2"], 4, "labels must be integers", id="strings"),
+        pytest.param([1, None, 0], 4, "labels must be integers", id="none"),
+        pytest.param([1 + 0j, 0, 1], 4, "labels must be integers", id="complex"),
+        pytest.param(np.array([0, 1], dtype=object), None, "labels must be integers", id="object"),
+    ],
+)
+def test_labels_past_int64_or_not_numbers_are_refused_quoting_the_real_range(labels, num_classes, message):
+    """The range is read before the int64 cast, which would wrap these values,
+    and a dtype that is not a number breaks the label rule; neither warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IngestionError, match=f"^{message}$"):
+            check_labels(labels, len(labels), num_classes)
+
+
+def test_label_rule_accepts_bools_and_the_ends_of_int64():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(EvalSet(np.zeros((2, 2)), [True, False]).labels, [1, 0])
+        got = check_labels([-(2.0**63), 2.0**63 - 1024], 2)
+        assert got.dtype == np.int64 and got.tolist() == [-(2**63), 2**63 - 1024]
+        assert check_labels(np.array([0, 2**63 - 1], dtype=np.uint64), 2).tolist() == [0, 2**63 - 1]
 
 
 def test_eval_set_casts_and_exposes_dims():

@@ -10,9 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import softcal.io
 from softcal import LossSpec, TaskSpec, TrainConfig
-from softcal.data import EvalSet
+from softcal.data import EvalSet, IngestionError
 from softcal.io import (
-    DataError,
     UsageError,
     _scan_logits_csv,
     load_run_config,
@@ -54,18 +53,18 @@ def test_read_small_file(tmp_path):
 )
 def test_malformed_files_raise_data_errors(tmp_path, text, fragment):
     path = write(tmp_path, text)
-    with pytest.raises(DataError, match=fragment):
+    with pytest.raises(IngestionError, match=fragment):
         read_logits_csv(path)
 
 
 def test_errors_carry_line_numbers(tmp_path):
     path = write(tmp_path, "0,1.0,2.0\n1,1.0,2.0\nbad,1.0,2.0\n")
-    with pytest.raises(DataError, match=r":3:"):
+    with pytest.raises(IngestionError, match=r":3:"):
         read_logits_csv(path)
 
 
 def test_missing_file_is_a_data_error(tmp_path):
-    with pytest.raises(DataError, match="cannot read"):
+    with pytest.raises(IngestionError, match="cannot read"):
         read_logits_csv(str(tmp_path / "nope.csv"))
 
 
@@ -140,7 +139,7 @@ def logits_csv_text(draw):
 def _parse(parser, path):
     try:
         return parser(path)
-    except DataError as err:
+    except IngestionError as err:
         return str(err)
 
 
@@ -183,7 +182,7 @@ def test_a_label_loadtxt_reads_via_a_float_goes_to_the_scanner(tmp_path, monkeyp
 
     monkeypatch.setattr(np, "loadtxt", loadtxt_of_numpy_1_23)
     path = write(tmp_path, "1.5,0.0,1.0\n")
-    with pytest.raises(DataError, match=r":1: label '1.5' is not an integer"):
+    with pytest.raises(IngestionError, match=r":1: label '1.5' is not an integer"):
         read_logits_csv(path)
 
 
@@ -293,11 +292,11 @@ def test_with_seed_and_as_json_round_trip():
 
 
 def test_load_run_config_errors(tmp_path):
-    with pytest.raises(DataError, match="cannot read"):
+    with pytest.raises(IngestionError, match="cannot read"):
         load_run_config(str(tmp_path / "nope.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(DataError, match="not valid JSON"):
+    with pytest.raises(IngestionError, match="not valid JSON"):
         load_run_config(str(bad))
     good = tmp_path / "good.json"
     good.write_text('{"seed": 4, "model": {"hidden": [8]}}')

@@ -168,6 +168,16 @@ def test_perfectly_calibrated_gradient_is_zero():
     assert np.all(g == 0.0) or np.abs(g).max() < 1e-9
 
 
+@pytest.mark.parametrize("logits", [[[50.0, 0.0]], [[50.0, 0.0], [0.0, 60.0]]])
+def test_saturated_correct_predictions_give_an_exact_zero_and_a_zero_gradient(logits):
+    # Confidences round to exactly 1.0 and every prediction is right, so r is
+    # exactly 0 in binned mode; the r ** (1/p - 1) chain rule would be 0 * inf.
+    z = np.array(logits)
+    v, g = sb_ece_grad(summarize(EvalSet(z, z.argmax(axis=1))), SoftBinningSpec(mode=BINNED))
+    assert v == 0.0
+    assert g.shape == z.shape and np.isfinite(g).all() and not g.any()
+
+
 def test_sb_ece_gradient_small_sweep():
     rng = np.random.default_rng(10)
     for mode in (LABEL_BINNED, BINNED):
